@@ -70,9 +70,11 @@ fn actions_never_fire_before_epoch_is_safe() {
     let violation = Arc::new(AtomicBool::new(false));
 
     // Worker threads publish their current "working epoch" before
-    // refreshing, mimicking a critical section.
+    // refreshing, mimicking a critical section. `u64::MAX` means "not in
+    // a critical section", which is also true of a worker that has not
+    // started yet.
     let published: Arc<Vec<AtomicU64>> =
-        Arc::new((0..THREADS).map(|_| AtomicU64::new(0)).collect());
+        Arc::new((0..THREADS).map(|_| AtomicU64::new(u64::MAX)).collect());
     let workers: Vec<_> = (0..THREADS)
         .map(|i| {
             let mgr = Arc::clone(&mgr);

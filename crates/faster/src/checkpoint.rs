@@ -67,10 +67,12 @@ pub(crate) fn run_wait_flush<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) {
             }
         }
         inner.detached.prune_committed(v);
-        inner.committed_version.store(v, Ordering::Release);
+        // Observers run before the version is published, so whoever sees
+        // `committed_version() >= v` also sees their effects.
         for cb in inner.commit_callbacks.lock().iter() {
             cb(v, &manifest.sessions);
         }
+        inner.committed_version.store(v, Ordering::Release);
     }
     let _g = inner.commit_lock.lock();
     inner.commit_cv.notify_all();

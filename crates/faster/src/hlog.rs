@@ -78,10 +78,13 @@ struct Frame {
 }
 
 impl Frame {
+    /// A zero frame. The allocation is requested pre-zeroed, so the OS
+    /// maps zero pages on first touch instead of this thread writing
+    /// every word: a frame costs memory only once the log reaches it.
     fn new(words: usize) -> Self {
-        Frame {
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
-        }
+        // SAFETY: the all-zero bit pattern is a valid `AtomicU64` (0).
+        let words = unsafe { Box::<[AtomicU64]>::new_zeroed_slice(words).assume_init() };
+        Frame { words }
     }
     fn zero(&self) {
         for w in self.words.iter() {
@@ -106,6 +109,11 @@ pub struct HybridLog {
     cfg: HlogConfig,
     frames: Box<[Frame]>,
     /// `page + 1` currently resident in each frame (0 = empty).
+    ///
+    /// Invariant: a frame whose cell is 0 has never been written, so it
+    /// is still all zero. Frames are therefore zeroed only when they
+    /// are reused ([`Self::claim_page`]) or reset ([`Self::restore_at`])
+    /// after holding a page.
     page_table: Box<[AtomicU64]>,
     /// Packed `(page << 32) | offset` tail.
     tail_po: CachePadded<AtomicU64>,
@@ -316,10 +324,10 @@ impl HybridLog {
         // the device and below the safe head.
         let cell = self.page_cell(page);
         let mut spins = 0u64;
-        loop {
+        let cur = loop {
             let cur = cell.load(Ordering::Acquire);
             if cur == 0 {
-                break;
+                break cur;
             }
             let prev_page = cur - 1;
             debug_assert!(prev_page < page);
@@ -327,7 +335,7 @@ impl HybridLog {
             if self.safe_head.load(Ordering::Acquire) >= prev_end
                 && self.flushed_durable() >= prev_end
             {
-                break;
+                break cur;
             }
             spins += 1;
             if spins.is_multiple_of(16) {
@@ -338,8 +346,11 @@ impl HybridLog {
             } else {
                 std::hint::spin_loop();
             }
+        };
+        if cur != 0 {
+            // The frame held an earlier page; a never-used one is zero.
+            self.frame_of(page).zero();
         }
-        self.frame_of(page).zero();
         cell.store(page + 1, Ordering::Release);
     }
 
@@ -601,8 +612,9 @@ impl HybridLog {
     pub fn restore_at(&self, tail: Address) {
         let page = self.layout.page(tail);
         for (i, cell) in self.page_table.iter().enumerate() {
-            cell.store(0, Ordering::Relaxed);
-            self.frames[i].zero();
+            if cell.swap(0, Ordering::Relaxed) != 0 {
+                self.frames[i].zero();
+            }
         }
         self.page_cell(page).store(page + 1, Ordering::Relaxed);
         self.tail_po
@@ -788,6 +800,81 @@ mod tests {
         assert_eq!(log.flushed_durable(), 100 * rs);
         let a = log.allocate(&g);
         assert_eq!(a, 100 * rs);
+    }
+
+    /// Index of the first non-zero word in `frame`, if any.
+    fn first_nonzero(frame: &Frame) -> Option<usize> {
+        frame
+            .words
+            .iter()
+            .position(|w| w.load(Ordering::Relaxed) != 0)
+    }
+
+    #[test]
+    fn fresh_frames_read_zero() {
+        let (log, _e, _g) = mk(HlogConfig::small_for_tests());
+        for (i, f) in log.frames.iter().enumerate() {
+            assert_eq!(first_nonzero(f), None, "frame {i}");
+        }
+    }
+
+    #[test]
+    fn reused_frame_shows_no_stale_words() {
+        let cfg = HlogConfig {
+            page_bits: 12,
+            memory_pages: 4,
+            mutable_pages: 1,
+            value_size: 8,
+        };
+        let (log, _e, g) = mk(cfg);
+        let per_page = (1 << 12) / log.rec.record_size();
+        // Fill pages 0–5 and start page 6 (pages 4–6 reuse frames), then
+        // claim page 7: its frame held page 3.
+        for i in 0..per_page * 6 {
+            let a = log.allocate(&g);
+            log.write_record(a, Header::new(0, 1), i as u64 + 1, &[u64::MAX]);
+            g.refresh();
+        }
+        let a = loop {
+            let a = log.allocate(&g);
+            if log.layout.page(a) == 7 {
+                break a;
+            }
+        };
+        assert_eq!(log.layout.offset(a), 0);
+        assert_eq!(
+            first_nonzero(log.frame_of(7)),
+            None,
+            "frame reused for page 7 holds stale words"
+        );
+    }
+
+    #[test]
+    fn restore_at_leaves_no_stale_words() {
+        let cfg = HlogConfig {
+            page_bits: 12,
+            memory_pages: 4,
+            mutable_pages: 1,
+            value_size: 8,
+        };
+        let (log, _e, g) = mk(cfg);
+        let per_page = (1 << 12) / log.rec.record_size();
+        for i in 0..per_page * 5 {
+            let a = log.allocate(&g);
+            log.write_record(a, Header::new(0, 1), i as u64 + 1, &[u64::MAX]);
+            g.refresh();
+        }
+        assert!(log.frames.iter().all(|f| first_nonzero(f).is_some()));
+        let rs = log.rec.record_size() as u64;
+        log.restore_at(log.layout.page_start(9) + 3 * rs);
+        for (i, f) in log.frames.iter().enumerate() {
+            assert_eq!(first_nonzero(f), None, "frame {i}");
+        }
+        // Appending resumes in the restored page on a clean frame.
+        let a = log.allocate(&g);
+        assert_eq!(a, log.layout.page_start(9) + 3 * rs);
+        log.write_record(a, Header::new(0, 2), 7, &[7]);
+        assert_eq!(log.key_at(a), 7);
     }
 
     #[test]

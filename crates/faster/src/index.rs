@@ -63,11 +63,14 @@ pub fn key_hash(key: u64) -> u64 {
     h
 }
 
+/// Position of the tag bits within a key hash. Skips the top bit so tags
+/// also differ from the tentative bit's position semantics; any 14 bits
+/// work.
+const TAG_SHIFT_IN_HASH: u32 = 49;
+
 #[inline]
 fn tag_of(hash: u64) -> u64 {
-    // Skip the top bit so tags also differ from the tentative bit's
-    // position semantics; any 14 bits work.
-    (hash >> 49) & TAG_MASK
+    (hash >> TAG_SHIFT_IN_HASH) & TAG_MASK
 }
 
 /// A located index slot for some key hash. The caller reads the current
@@ -137,6 +140,14 @@ impl HashIndex {
     #[inline]
     pub fn bucket_index(&self, hash: u64) -> usize {
         (hash & self.mask) as usize
+    }
+
+    /// The part of `hash` that selects its slot: the bucket bits and the
+    /// tag bits. Hashes with equal slot keys share one index entry (and
+    /// one record chain); any other bits are ignored by the index.
+    #[inline]
+    pub fn slot_key(&self, hash: u64) -> u64 {
+        hash & (self.mask | (TAG_MASK << TAG_SHIFT_IN_HASH))
     }
 
     fn bucket_chain(&self, hash: u64) -> impl Iterator<Item = &Bucket> {

@@ -20,11 +20,15 @@
 //! `recovery_threads` workers. Each worker reduces its chunks to a
 //! per-slot summary — `(max valid address, lowest v + 1 address and its
 //! prev pointer)` — and issues the idempotent invalid-marker writes for
-//! its own chunks. The summaries merge with `(max, min-by-address)`,
-//! which is commutative and associative, and are applied to the index
-//! sequentially in sorted hash order. The same collect-then-merge path
-//! runs at every thread count (including 1), so the recovered index and
-//! log bytes are identical no matter how many workers ran.
+//! its own chunks. Summaries are keyed by the index *slot*
+//! ([`HashIndex::slot_key`]), not by the key hash: keys that share a
+//! slot share one record chain, so only the newest valid record of the
+//! whole slot may become its entry. The summaries merge with
+//! `(max, min-by-address)`, which is commutative and associative, and
+//! are applied to the index sequentially in bucket-major slot-key order.
+//! The same collect-then-merge path runs at every thread count
+//! (including 1), so the recovered index and log bytes are identical no
+//! matter how many workers ran.
 //!
 //! ## Crash safety of recovery itself
 //!
@@ -38,7 +42,8 @@
 //! are routed through the injector so tests can crash recovery at a
 //! chosen read or write.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,7 +51,7 @@ use std::sync::Arc;
 use cpr_core::{CheckpointKind, CheckpointManifest, Pod};
 use cpr_storage::{CheckpointStore, Device, FaultDevice, FileDevice};
 
-use crate::addr::PageLayout;
+use crate::addr::{PageLayout, INVALID_ADDRESS};
 use crate::header::{version13, Header, RecordLayout};
 use crate::index::{key_hash, HashIndex};
 use crate::store::{FasterKv, FasterOptions};
@@ -56,30 +61,68 @@ use crate::store::{FasterKv, FasterOptions};
 /// to amortize per-read latency.
 const RECOVERY_CHUNK_BYTES: u64 = 1 << 20;
 
-/// What the scan learned about one hash slot: the fold of every record
-/// for the slot in address order, reduced to the two numbers the apply
-/// phase needs. Merging two summaries is `(max, min-by-address)`.
-#[derive(Clone, Copy, Default)]
+/// What the scan learned about one index slot: the fold of every record
+/// chained off the slot, reduced to the numbers the apply phase needs.
+/// Merging two summaries is `(max, min-by-address)`.
+#[derive(Clone, Copy)]
 struct SlotOutcome {
-    /// Highest address of a valid version-≤v record.
-    max_valid: Option<u64>,
-    /// Lowest-addressed version-v+1 record: `(address, prev pointer)`.
-    min_invalid: Option<(u64, u64)>,
+    /// Highest address of a valid version-≤v record (`INVALID_ADDRESS`
+    /// if none).
+    max_valid: u64,
+    /// Address of the lowest version-v+1 record (`u64::MAX` if none)...
+    min_invalid: u64,
+    /// ...and its prev pointer.
+    invalid_prev: u64,
+}
+
+impl Default for SlotOutcome {
+    fn default() -> Self {
+        SlotOutcome {
+            max_valid: INVALID_ADDRESS,
+            min_invalid: u64::MAX,
+            invalid_prev: INVALID_ADDRESS,
+        }
+    }
 }
 
 impl SlotOutcome {
     fn merge(&mut self, other: SlotOutcome) {
-        if let Some(a) = other.max_valid {
-            self.max_valid = Some(self.max_valid.map_or(a, |b| b.max(a)));
-        }
-        if let Some((a, p)) = other.min_invalid {
-            self.min_invalid = Some(match self.min_invalid {
-                Some((b, q)) if b < a => (b, q),
-                _ => (a, p),
-            });
+        self.max_valid = self.max_valid.max(other.max_valid);
+        if other.min_invalid < self.min_invalid {
+            self.min_invalid = other.min_invalid;
+            self.invalid_prev = other.invalid_prev;
         }
     }
 }
+
+/// Hasher for slot keys. They are already mixed key-hash bits, so one
+/// fold, one multiply and one fold spread them over every output bit
+/// (the map's bucket choice reads the low bits, its probe tag the high
+/// ones). It is unkeyed, like [`key_hash`] itself: keys crafted to share
+/// a slot already collide in the index.
+#[derive(Default)]
+struct SlotKeyHasher(u64);
+
+impl Hasher for SlotKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(self.0 ^ u64::from(*b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let h = (x ^ (x >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type SlotMap = HashMap<u64, SlotOutcome, BuildHasherDefault<SlotKeyHasher>>;
 
 pub(crate) fn recover<V: Pod>(
     opts: FasterOptions<V>,
@@ -157,26 +200,29 @@ pub(crate) fn recover<V: Pod>(
         .max(begin);
 
     // Scan [s, e): page-aligned chunks handed to a worker pool, merged
-    // into one per-slot summary map.
+    // into one per-slot summary list.
     let threads = opts.recovery_threads.max(1);
     let t_scan = metrics_on.then(std::time::Instant::now);
-    let merged = scan_partitioned(&device, &layout, rec_size, vnext13, s, e, threads)?;
+    let merged = scan_partitioned(&device, &index, &layout, rec_size, vnext13, s, e, threads)?;
     if let Some(t0) = t_scan {
         opts.metrics.record_phase("recovery.scan", threads, t0.elapsed());
     }
 
-    // Apply summaries to the index in sorted hash order (BTreeMap
-    // iteration), so slot creation order — and therefore the index dump
-    // bytes — do not depend on worker scheduling.
+    // Apply summaries to the index in slot-key order, so slot creation
+    // order — and therefore the index dump bytes — do not depend on
+    // worker scheduling. A slot key selects the same slot as any hash it
+    // was taken from.
     let t_apply = metrics_on.then(std::time::Instant::now);
-    for (hash, o) in &merged {
-        let slot = index.find_or_create(*hash);
+    for (sk, o) in &merged {
+        let slot = index.find_or_create(*sk);
         loop {
             let cur = slot.address();
-            let new = match (o.max_valid, o.min_invalid) {
-                (Some(mv), _) => mv,
-                (None, Some((ia, prev))) if cur >= ia => prev,
-                _ => break,
+            let new = if o.max_valid != INVALID_ADDRESS {
+                o.max_valid
+            } else if o.min_invalid != u64::MAX && cur >= o.min_invalid {
+                o.invalid_prev
+            } else {
+                break;
             };
             if new == cur || slot.try_update(cur, new) {
                 break;
@@ -200,31 +246,37 @@ pub(crate) fn recover<V: Pod>(
 }
 
 /// Scan `[s, e)` with `threads` workers over page-aligned chunks and
-/// return the merged per-slot summaries. Workers also rewrite the
-/// headers of version-v+1 records with the invalid bit set (idempotent
-/// 8-byte writes at disjoint addresses; chunks never split a record).
+/// return the merged per-slot summaries, sorted bucket-major by slot
+/// key. Workers also rewrite the headers of version-v+1 records with the
+/// invalid bit set (idempotent 8-byte writes at disjoint addresses;
+/// chunks never split a record).
+#[allow(clippy::too_many_arguments)]
 fn scan_partitioned(
     device: &Arc<dyn Device>,
+    index: &HashIndex,
     layout: &PageLayout,
     rec_size: u64,
     vnext13: u64,
     s: u64,
     e: u64,
     threads: usize,
-) -> io::Result<BTreeMap<u64, SlotOutcome>> {
+) -> io::Result<Vec<(u64, SlotOutcome)>> {
     if s >= e {
-        return Ok(BTreeMap::new());
+        return Ok(Vec::new());
     }
     let psz = layout.page_size();
     let chunk_pages = (RECOVERY_CHUNK_BYTES / psz).max(1);
     let chunk_bytes = chunk_pages * psz;
     let chunk0 = layout.page_start(layout.page(s));
     let nchunks = (e - chunk0).div_ceil(chunk_bytes);
+    // A worker sees about its share of the records, and every slot it
+    // summarises has at least one of them.
+    let share = ((e - s) / rec_size) as usize / threads + 1;
 
     let next = AtomicU64::new(0);
     let failed = AtomicBool::new(false);
-    let worker = |_w: usize| -> io::Result<BTreeMap<u64, SlotOutcome>> {
-        let mut local: BTreeMap<u64, SlotOutcome> = BTreeMap::new();
+    let worker = |_w: usize| -> io::Result<SlotMap> {
+        let mut local = SlotMap::with_capacity_and_hasher(share, Default::default());
         let mut buf: Vec<u8> = Vec::new();
         let mut markers: Vec<cpr_storage::IoHandle> = Vec::new();
         loop {
@@ -241,7 +293,16 @@ fn scan_partitioned(
             buf.resize((cend - cstart) as usize, 0);
             device.read_at(cstart, &mut buf)?;
             scan_chunk(
-                &buf, cstart, cend, layout, rec_size, vnext13, device, &mut local, &mut markers,
+                &buf,
+                cstart,
+                cend,
+                index,
+                layout,
+                rec_size,
+                vnext13,
+                device,
+                &mut local,
+                &mut markers,
             );
         }
         for m in markers {
@@ -250,7 +311,7 @@ fn scan_partitioned(
         Ok(local)
     };
 
-    let results: Vec<io::Result<BTreeMap<u64, SlotOutcome>>> = if threads == 1 {
+    let results: Vec<io::Result<SlotMap>> = if threads == 1 {
         vec![worker(0)]
     } else {
         std::thread::scope(|sc| {
@@ -274,12 +335,20 @@ fn scan_partitioned(
         })
     };
 
-    let mut merged: BTreeMap<u64, SlotOutcome> = BTreeMap::new();
+    // Concatenate, sort bucket-major (the apply walk then visits buckets
+    // in order), and merge runs of equal slot keys.
+    let mut merged: Vec<(u64, SlotOutcome)> = Vec::new();
     for r in results {
-        for (hash, o) in r? {
-            merged.entry(hash).or_default().merge(o);
-        }
+        merged.extend(r?);
     }
+    merged.sort_unstable_by_key(|&(sk, _)| (index.bucket_index(sk), sk));
+    merged.dedup_by(|(sk, o), (keep_sk, keep)| {
+        let same = sk == keep_sk;
+        if same {
+            keep.merge(*o);
+        }
+        same
+    });
     Ok(merged)
 }
 
@@ -291,11 +360,12 @@ fn scan_chunk(
     buf: &[u8],
     cstart: u64,
     cend: u64,
+    index: &HashIndex,
     layout: &PageLayout,
     rec_size: u64,
     vnext13: u64,
     device: &Arc<dyn Device>,
-    local: &mut BTreeMap<u64, SlotOutcome>,
+    local: &mut SlotMap,
     markers: &mut Vec<cpr_storage::IoHandle>,
 ) {
     let psz = layout.page_size();
@@ -315,21 +385,19 @@ fn scan_chunk(
         }
         let h = Header::unpack(word);
         let key = u64::from_le_bytes(buf[base + 8..base + 16].try_into().unwrap());
-        let entry = local.entry(key_hash(key)).or_default();
+        let entry = local.entry(index.slot_key(key_hash(key))).or_default();
         if h.version != vnext13 && !h.invalid {
             // Part of the commit: later addresses win.
-            entry.merge(SlotOutcome {
-                max_valid: Some(addr),
-                min_invalid: None,
-            });
+            entry.max_valid = entry.max_valid.max(addr);
         } else {
             // Post-CPR-point record: mark invalid on the device and
             // remember the unlink target — the UNDO of FASTER recovery.
             let inv = Header { invalid: true, ..h };
             markers.push(device.write_at(addr, inv.pack().to_le_bytes().to_vec()));
             entry.merge(SlotOutcome {
-                max_valid: None,
-                min_invalid: Some((addr, h.prev)),
+                min_invalid: addr,
+                invalid_prev: h.prev,
+                ..SlotOutcome::default()
             });
         }
         addr += rec_size;

@@ -99,12 +99,22 @@ struct Pending<V> {
     /// Coarse grain: key registered in the pending-v-keys guard set.
     guarded: bool,
     io: Option<IoRead>,
-    io_addr: Address,
+    /// First on-disk address of the chain `io` walks (see
+    /// [`Outcome::Pend`]).
+    io_chain: Address,
+    /// Accepted while an earlier op on the same key was pending: it runs
+    /// only after that op completes, so a session's ops on one key take
+    /// effect in serial order.
+    queued: bool,
 }
 
 enum Outcome<V> {
     Done(Option<V>),
-    /// Must wait; optionally with an I/O already issued.
+    /// Must wait; optionally with an I/O already issued. The read
+    /// fetches the chain's first on-disk record, or one reached from it
+    /// by `prev` pointers; the address given is that first one. The
+    /// chain below it is immutable, so a fetch is still on the chain as
+    /// long as the chain still leaves memory there.
     Pend(Option<(Address, IoRead)>),
     /// CPR shift detected in prepare: refresh and retry.
     Shift,
@@ -282,7 +292,7 @@ impl<V: Pod> FasterSession<V> {
         self.complete_pending();
     }
 
-    /// Retry pending operations; completed ones become
+    /// Retry pending operations in issue order; completed ones become
     /// [`Completion`]s. Returns the number completed this call.
     pub fn complete_pending(&mut self) -> usize {
         if self.pending.is_empty() {
@@ -308,11 +318,15 @@ impl<V: Pod> FasterSession<V> {
                 self.evicted = true;
                 break;
             }
+            if ops[i].queued && ops[..i].iter().any(|p| p.key == ops[i].key) {
+                i += 1;
+                continue;
+            }
             let op = &mut ops[i];
             let io_data: Option<(Address, Vec<u8>)> = match &op.io {
                 Some(io) if io.handle.is_done() => {
                     if io.handle.wait().is_ok() {
-                        Some((op.io_addr, io.buf.lock().clone()))
+                        Some((op.io_chain, io.buf.lock().clone()))
                     } else {
                         // Read raced an in-flight flush; drop and retry
                         // through the normal path.
@@ -339,12 +353,12 @@ impl<V: Pod> FasterSession<V> {
                 Outcome::Done(value) => {
                     self.finish_pending(op, value);
                     completed += 1;
-                    ops.swap_remove(i);
+                    ops.remove(i);
                 }
                 Outcome::Pend(io) => {
                     match io {
-                        Some((addr, read)) => {
-                            op.io_addr = addr;
+                        Some((chain, read)) => {
+                            op.io_chain = chain;
                             op.io = Some(read);
                         }
                         None => op.io = None,
@@ -664,7 +678,15 @@ impl<V: Pod> FasterSession<V> {
                 latch = Some(b);
             }
             let tag = self.txn_version();
-            match self.run_op(kind, key, input, tag, None) {
+            // Behind a pending op on the same key: wait for it, or this
+            // op could take effect first.
+            let queued = self.pending.iter().any(|p| p.key == key);
+            let outcome = if queued {
+                Outcome::Pend(None)
+            } else {
+                self.run_op(kind, key, input, tag, None)
+            };
+            match outcome {
                 Outcome::Done(v) => {
                     if let Some(b) = latch {
                         self.store.latches[b].release_shared();
@@ -713,8 +735,8 @@ impl<V: Pod> FasterSession<V> {
                                 guarded_key: guarded.then_some(key),
                             });
                     }
-                    let (io_addr, io) = match io {
-                        Some((a, r)) => (a, Some(r)),
+                    let (io_chain, io) = match io {
+                        Some((c, r)) => (c, Some(r)),
                         None => (INVALID_ADDRESS, None),
                     };
                     self.pending.push(Pending {
@@ -726,7 +748,8 @@ impl<V: Pod> FasterSession<V> {
                         latch: keep_latch,
                         guarded,
                         io,
-                        io_addr,
+                        io_chain,
+                        queued,
                     });
                     self.stats.went_pending += 1;
                     self.store.registry.set_serial(self.slot_idx, self.serial);
@@ -930,7 +953,11 @@ impl<V: Pod> FasterSession<V> {
         }
     }
 
-    /// Resolve an operation whose chain continues on disk.
+    /// Resolve an operation whose chain continues on disk at `disk_addr`.
+    /// Each call inspects at most one fetched record; a record of
+    /// another key (sharing the slot) or one recovery marked invalid
+    /// sends the op pending again on its `prev`, as the in-memory walk
+    /// steps over both.
     #[allow(clippy::too_many_arguments)]
     fn resolve_disk(
         &mut self,
@@ -948,8 +975,8 @@ impl<V: Pod> FasterSession<V> {
         let hl = &store.hlog;
         let rec_size = hl.rec.record_size();
 
-        if let Some((fetched_addr, bytes)) = io_data {
-            if fetched_addr == disk_addr && bytes.len() >= rec_size {
+        if let Some((chain, bytes)) = io_data {
+            if chain == disk_addr && bytes.len() >= rec_size {
                 let h = Header::unpack(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
                 let rkey = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
                 if !h.invalid && rkey == key {
@@ -990,8 +1017,8 @@ impl<V: Pod> FasterSession<V> {
                 }
                 // Wrong key (hash-chain collision) or invalid: follow the
                 // chain further down the log.
-                if !h.invalid && h.prev >= hl.begin_address() {
-                    return self.issue_or_wait(h.prev);
+                if h.prev >= hl.begin_address() {
+                    return self.issue_or_wait(disk_addr, h.prev);
                 }
                 // Chain exhausted: key absent.
                 return match kind {
@@ -999,16 +1026,19 @@ impl<V: Pod> FasterSession<V> {
                     _ => self.append_record(slot, entry, key, kind, input, None, tag),
                 };
             }
-            // Stale fetch (chain shape changed): fall through and re-issue.
+            // Stale fetch (the chain now leaves memory elsewhere): walk
+            // its on-disk part again from the start.
         }
-        self.issue_or_wait(disk_addr)
+        self.issue_or_wait(disk_addr, disk_addr)
     }
 
-    fn issue_or_wait(&mut self, addr: Address) -> Outcome<V> {
+    /// Read the record at `addr`, on the chain whose on-disk part starts
+    /// at `start`.
+    fn issue_or_wait(&mut self, start: Address, addr: Address) -> Outcome<V> {
         let hl = &self.store.hlog;
         if addr < hl.flushed_durable() {
             let read = self.store.io.read(addr, hl.rec.record_size());
-            Outcome::Pend(Some((addr, read)))
+            Outcome::Pend(Some((start, read)))
         } else {
             // Flush still in flight; retry on a later refresh.
             Outcome::Pend(None)

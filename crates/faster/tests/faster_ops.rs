@@ -239,3 +239,34 @@ fn concurrent_rmw_sums_are_exact() {
     }
     assert_eq!(total, THREADS * INCR, "lost or duplicated increments");
 }
+
+/// A session's ops on one key take effect in serial order even when the
+/// first one goes pending: an upsert in the fuzzy region waits, and a
+/// read of the same key issued behind it must wait too and return the
+/// upsert's value, not the record the upsert is about to replace.
+#[test]
+fn read_behind_pending_upsert_of_same_key_sees_it() {
+    let dir = tempfile::tempdir().unwrap();
+    let kv = small_opts(dir.path())
+        .refresh_every(1 << 20)
+        .open()
+        .unwrap();
+    let mut s = kv.start_session(1);
+    assert_eq!(s.upsert(5, 1), Status::Ok);
+    // Make the record read-only without letting the session refresh:
+    // it lands in the fuzzy region [safe_read_only, read_only).
+    let hlog = kv.hlog();
+    hlog.shift_read_only_to(hlog.tail());
+    assert_eq!(s.upsert(5, 2), Status::Pending, "fuzzy-region update waits");
+    assert_eq!(s.read(5), ReadResult::Pending, "read queues behind it");
+    let mut done = Vec::new();
+    while s.pending_len() > 0 {
+        s.refresh();
+    }
+    s.drain_completions(&mut done);
+    let serials: Vec<u64> = done.iter().map(|c| c.serial).collect();
+    assert_eq!(serials, vec![2, 3], "completions in serial order");
+    assert_eq!(done[1].kind, OpKind::Read);
+    assert_eq!(done[1].value, Some(2));
+    assert_eq!(s.read(5), ReadResult::Found(2));
+}

@@ -6,8 +6,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cpr_faster::index::key_hash;
 use cpr_faster::{
-    CheckpointVariant, FasterBuilder, HlogConfig, ReadResult, VersionGrain,
+    CheckpointVariant, FasterBuilder, HashIndex, HlogConfig, ReadResult, VersionGrain,
 };
 
 fn opts(dir: &std::path::Path, grain: VersionGrain) -> FasterBuilder<u64> {
@@ -421,4 +422,125 @@ fn continue_unknown_session_starts_fresh() {
     let (s, point) = kv.continue_session(777);
     assert_eq!(point, 0);
     assert_eq!(s.serial(), 0);
+}
+
+/// Buckets of the index the shared-slot tests use: small, so a pair of
+/// keys with equal bucket and tag is found in a few thousand keys.
+const SHARED_SLOT_BUCKETS: usize = 64;
+
+/// Two keys that share an index slot (equal bucket and tag), ordered by
+/// key hash: `(lower hash, higher hash)`.
+fn shared_slot_pair() -> (u64, u64) {
+    let index = HashIndex::new(SHARED_SLOT_BUCKETS);
+    let mut seen = std::collections::HashMap::new();
+    for k in 1u64.. {
+        if let Some(&j) = seen.get(&index.slot_key(key_hash(k))) {
+            let (a, b): (u64, u64) = (j, k);
+            return if key_hash(a) < key_hash(b) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+        }
+        seen.insert(index.slot_key(key_hash(k)), k);
+    }
+    unreachable!()
+}
+
+fn shared_slot_opts(dir: &std::path::Path, threads: usize) -> FasterBuilder<u64> {
+    opts(dir, VersionGrain::Fine)
+        .index_buckets(SHARED_SLOT_BUCKETS)
+        .recovery_threads(threads)
+}
+
+/// Upsert `first` then `second` (keys sharing one slot), take a log-only
+/// fold-over commit and crash.
+fn write_shared_slot(dir: &std::path::Path, first: u64, second: u64) {
+    let kv = shared_slot_opts(dir, 1).open().unwrap();
+    let mut s = kv.start_session(1);
+    s.upsert(first, 100 + first);
+    s.upsert(second, 100 + second);
+    assert!(kv.request_checkpoint(CheckpointVariant::FoldOver, true));
+    while kv.committed_version() < 1 {
+        s.refresh();
+    }
+}
+
+/// Recovery summarises the scan per index slot, not per key hash: two
+/// keys sharing a slot share one record chain, and the slot must end at
+/// the newer record. Written in this order, a per-hash summary applied
+/// the older key's record last and lost the newer key.
+#[test]
+fn keys_sharing_a_slot_both_survive_log_only_recovery() {
+    let (lo, hi) = shared_slot_pair();
+    let dir = tempfile::tempdir().unwrap();
+    write_shared_slot(dir.path(), hi, lo);
+    let mut digests = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let (kv, _) = shared_slot_opts(dir.path(), threads).recover().unwrap();
+        let mut s = kv.start_session(2);
+        assert_eq!(read_now(&mut s, lo), Some(100 + lo), "{threads} threads");
+        assert_eq!(read_now(&mut s, hi), Some(100 + hi), "{threads} threads");
+        digests.push(kv.index_digest());
+    }
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "recovered index differs across thread counts: {digests:x?}"
+    );
+}
+
+/// After recovery every record is on the device, so reading the older of
+/// two keys sharing a slot takes two device reads: the newer key's
+/// record, then its `prev`.
+#[test]
+fn read_needing_two_device_reads_completes() {
+    let (lo, hi) = shared_slot_pair();
+    let dir = tempfile::tempdir().unwrap();
+    write_shared_slot(dir.path(), lo, hi);
+    let (kv, _) = shared_slot_opts(dir.path(), 2).recover().unwrap();
+    let mut s = kv.start_session(2);
+    assert_eq!(read_now(&mut s, lo), Some(100 + lo), "deeper key");
+    assert_eq!(read_now(&mut s, hi), Some(100 + hi), "newer key");
+}
+
+/// A chain whose middle record recovery marks invalid: session 1 writes
+/// `deep` at v, crosses into v + 1 and rewrites it; session 2, still in
+/// prepare, then writes `top` at v on the same slot. The commit holds
+/// `deep`'s first value and `top`; the device chain is
+/// `top (v) → deep (v + 1, invalid) → deep (v)`. Reading `deep` after
+/// recovery must step over the invalid record, as the in-memory walk
+/// does, and take three device reads.
+#[test]
+fn device_walk_steps_over_records_marked_invalid() {
+    use cpr_core::Phase;
+    let (deep, top) = shared_slot_pair();
+    let dir = tempfile::tempdir().unwrap();
+    {
+        let kv = shared_slot_opts(dir.path(), 1).open().unwrap();
+        let mut s1 = kv.start_session(1);
+        let mut s2 = kv.start_session(2);
+        s1.upsert(deep, 1);
+        assert!(kv.request_checkpoint(CheckpointVariant::FoldOver, true));
+        s2.refresh();
+        assert_eq!(s2.info().phase, Phase::Prepare);
+        while s1.info().phase != Phase::InProgress {
+            s1.refresh();
+        }
+        assert_eq!(s2.info().phase, Phase::Prepare, "s2 must not refresh yet");
+        s1.upsert(deep, 2); // version v + 1: after s1's CPR point
+        s2.upsert(top, 3); // version v, chained over deep's v + 1 record
+        while kv.committed_version() < 1 {
+            s1.refresh();
+            s2.refresh();
+        }
+    }
+    for threads in [1usize, 2] {
+        let (kv, manifest) = shared_slot_opts(dir.path(), threads).recover().unwrap();
+        let manifest = manifest.unwrap();
+        assert_eq!(manifest.cpr_point(1), Some(1));
+        assert_eq!(manifest.cpr_point(2), Some(1));
+        let mut s = kv.start_session(3);
+        assert_eq!(read_now(&mut s, deep), Some(1), "{threads} threads");
+        assert_eq!(read_now(&mut s, top), Some(3), "{threads} threads");
+    }
 }

@@ -157,6 +157,10 @@ fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<(u64, Vec<Sessi
     Some((token, sessions))
 }
 
+/// Failed shared-latch attempts on one record before capture starts
+/// yielding the CPU between attempts.
+const CAPTURE_SPINS: u32 = 64;
+
 /// Serialize the version-`v` images of the records chained off buckets
 /// `range` (one capture worker's share). Returns the shard's bytes and
 /// record count, or `None` if the watchdog aborted the pass.
@@ -173,9 +177,12 @@ fn capture_shard<V: DbValue>(
         if aborted {
             return;
         }
-        // Spin for a shared latch; lock holders are try-lock based, so
+        // Wait for a shared latch; lock holders are try-lock based, so
         // this cannot deadlock — but a *parked* lock holder stalls it
         // indefinitely, which is why the watchdog can abort the pass.
+        // After a short spin, yield: with sessions pinned one per core,
+        // the holder may be the thread this one preempted.
+        let mut spins = 0u32;
         loop {
             if rec.lock.try_shared() {
                 break;
@@ -184,7 +191,12 @@ fn capture_shard<V: DbValue>(
                 aborted = true;
                 return;
             }
-            std::hint::spin_loop();
+            if spins < CAPTURE_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
         let birth = rec.birth();
         if birth == 0 || birth > v {

@@ -3,7 +3,7 @@
 //! produce identical recovered key-value states, and the epoch framework
 //! must coordinate both without ever blocking worker progress.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cpr::faster::{CheckpointVariant, FasterKv, FasterBuilder, HlogConfig, ReadResult};
 use cpr::memdb::{Access, Durability, MemDb, TxnRequest};
@@ -171,8 +171,17 @@ fn session_churn_during_commit_completes() {
         drop(s);
         s0.refresh();
     }
+    // s0 stays registered, so it keeps refreshing while it waits: the
+    // fold-over wait-flush shift completes only once every session has
+    // left the epoch it was published in (DESIGN.md, "Liveness and
+    // stragglers").
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while kv.committed_version() < 1 && Instant::now() < deadline {
+        s0.refresh();
+        std::thread::sleep(Duration::from_micros(100));
+    }
     assert!(
-        kv.wait_for_version(1, Duration::from_secs(20)),
+        kv.committed_version() >= 1,
         "commit stalled under session churn: state {:?}",
         kv.state()
     );
