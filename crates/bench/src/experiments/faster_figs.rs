@@ -233,21 +233,24 @@ pub fn fig18(args: &Args) {
 
 /// §7.3.1 — per-phase durations of one full commit ("each phase lasted
 /// around 5 ms, except wait-flush").
+///
+/// The durations come from the metrics registry's phase tracer, so this
+/// run has the registry enabled (per-op metrics included), unlike the
+/// other FASTER experiments.
 pub fn phases(args: &Args) {
     let mut cfg = base_cfg(args, 50, true);
     cfg.checkpoint_at = vec![cfg.seconds * 0.4];
+    cfg.metrics = Some(cpr_metrics::Registry::new());
     let res = run_faster(&cfg);
     let mut r = Report::new(
         "Sec 7.3.1: CPR phase durations (one full fold-over commit)",
         &["phase", "entered_at_ms", "duration_ms"],
     );
-    let marks = &res.phase_durations;
-    for (i, (phase, at)) in marks.iter().enumerate() {
-        let dur = marks.get(i + 1).map(|(_, next)| next - at).unwrap_or(0.0);
+    for span in &res.phases {
         r.row(vec![
-            phase.to_string(),
-            format!("{:.2}", at * 1000.0),
-            format!("{:.2}", dur * 1000.0),
+            span.phase.clone(),
+            format!("{:.2}", span.enter_secs * 1000.0),
+            format!("{:.2}", span.secs * 1000.0),
         ]);
     }
     r.print();

@@ -77,7 +77,9 @@ pub struct FasterRunResult {
     pub elapsed: f64,
     pub mops: f64,
     pub timeline: Vec<FasterSample>,
-    pub phase_durations: Vec<(cpr_core::Phase, f64)>,
+    /// Phase spans of the last checkpoint, from the metrics tracer (empty
+    /// unless the run has a metrics registry).
+    pub phases: Vec<cpr_metrics::PhaseSpan>,
     /// Sampled-operation latency percentiles over the whole run (µs).
     pub lat_p50_us: f64,
     pub lat_p95_us: f64,
@@ -221,11 +223,12 @@ pub fn run_faster(cfg: &FasterRunConfig) -> FasterRunResult {
         elapsed,
         mops: ops as f64 / elapsed / 1e6,
         timeline,
-        phase_durations: kv
-            .last_checkpoint_phases()
-            .into_iter()
-            .map(|(p, d)| (p, d.as_secs_f64()))
-            .collect(),
+        phases: kv
+            .metrics_snapshot()
+            .checkpoints
+            .pop()
+            .map(|tl| tl.phases)
+            .unwrap_or_default(),
         lat_p50_us: lat_hist.quantile(0.50) as f64 / 1000.0,
         lat_p95_us: lat_hist.quantile(0.95) as f64 / 1000.0,
         lat_p99_us: lat_hist.quantile(0.99) as f64 / 1000.0,

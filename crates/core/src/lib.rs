@@ -15,8 +15,13 @@
 //! * [`SessionRegistry`] — per-session published state used both for the
 //!   "all sessions have entered phase P" trigger conditions and for
 //!   recording per-session CPR points;
-//! * [`manifest`] — durable checkpoint metadata.
+//! * [`manifest`] — durable checkpoint metadata;
+//! * [`commit`] — the commit driver both engines run: [`CommitCore`]
+//!   holds the shared commit state, [`CommitEngine`] is what an engine
+//!   supplies, and a shared watchdog unwedges commits held back by
+//!   straggling sessions.
 
+pub mod commit;
 pub mod liveness;
 pub mod manifest;
 mod phase;
@@ -26,7 +31,9 @@ mod state;
 pub mod sync;
 pub mod value;
 mod version;
+mod watchdog;
 
+pub use commit::{CommitCallback, CommitCore, CommitEngine};
 pub use liveness::{
     BusyState, Clock, CommitOutcome, LivenessConfig, SessionStatus, SystemClock, VirtualClock,
 };

@@ -1,89 +1,43 @@
 //! The wait-flush work of a CPR commit, and fuzzy index checkpoints
 //! (paper Secs. 6.2.4, 6.3).
 //!
-//! Runs on a dedicated checkpoint thread so user sessions never block:
-//! they keep processing version-`v + 1` requests while the version-`v`
-//! state is written out.
+//! Runs on the commit driver's flush worker thread so user sessions never
+//! block: they keep processing version-`v + 1` requests while the
+//! version-`v` state is written out.
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use cpr_core::{CheckpointKind, CheckpointManifest, Phase, Pod, SessionCpr};
+use cpr_core::{CheckpointKind, CheckpointManifest, Pod, SessionCpr};
 
-use crate::store::{mark_phase, CheckpointVariant, StoreInner};
+use crate::store::{CheckpointVariant, CkptCtx, StoreInner};
 
-/// Complete the commit of version `v`: capture the volatile log (and
-/// optionally the index), persist the manifest, and return to `rest` at
-/// `v + 1`.
+/// The wait-flush hook: capture the volatile log (and optionally the
+/// index) of version `v` and persist the manifest. Returns the manifest's
+/// session points.
 ///
 /// Any I/O failure (including injected faults) aborts the checkpoint
-/// instead of panicking: the uncommitted directory is discarded, no
-/// manifest is written, `committed_version` stays put, and the state
-/// machine still returns to `rest` at `v + 1` so sessions proceed and a
-/// later checkpoint can succeed.
-pub(crate) fn run_wait_flush<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) {
+/// instead of panicking: the uncommitted directory is discarded (no-op if
+/// the fault was a simulated crash — the torn state must survive for
+/// recovery), no manifest is written, and `None` tells the commit driver
+/// to return to `rest` at `v + 1` without publishing `v`.
+pub(crate) fn flush<V: Pod>(inner: &StoreInner<V>, v: u64) -> Option<Vec<SessionCpr>> {
     let ctx = inner.ckpt.lock().take().expect("checkpoint context set");
     let token = ctx.token;
-    let started = ctx.started;
-    let mut marks = ctx.phase_marks.clone();
-
     let committed = try_wait_flush(inner, v, ctx);
     if committed.is_none() {
-        // Failed attempt: remove the partial checkpoint (no-op if the
-        // fault was a simulated crash — the torn state must survive for
-        // recovery) and count the failure so callers can observe it.
         let _ = inner.store.abort(token);
-        inner.checkpoint_failures.fetch_add(1, Ordering::AcqRel);
     }
-
-    // Back to rest at v + 1 either way; only success publishes v.
-    marks.push((Phase::Rest, started.elapsed()));
-    *inner.last_phase_marks.lock() = marks;
-    let ok = inner
-        .state
-        .transition((Phase::WaitFlush, v), (Phase::Rest, v + 1));
-    debug_assert!(ok, "state machine out of sync at commit completion");
-    let _ = mark_phase::<V>; // (phase marks already pushed above)
-    if inner.metrics_on {
-        let out = inner.outcome.lock();
-        inner.metrics.checkpoints.end(
-            v,
-            committed.is_some(),
-            out.attempts as u64,
-            out.proxy_advanced.len() as u64,
-            out.evicted.len() as u64,
-        );
-    }
-    if let Some(manifest) = committed {
-        // The manifest's points are now the durable baseline; detached
-        // entries it subsumes can be dropped.
-        {
-            let mut durable = inner.durable_points.lock();
-            for s in &manifest.sessions {
-                let e = durable.entry(s.guid).or_insert(0);
-                *e = (*e).max(s.cpr_point);
-            }
-        }
-        inner.detached.prune_committed(v);
-        // Observers run before the version is published, so whoever sees
-        // `committed_version() >= v` also sees their effects.
-        for cb in inner.commit_callbacks.lock().iter() {
-            cb(v, &manifest.sessions);
-        }
-        inner.committed_version.store(v, Ordering::Release);
-    }
-    let _g = inner.commit_lock.lock();
-    inner.commit_cv.notify_all();
+    committed.map(|m| m.sessions)
 }
 
 /// The fallible body of the wait-flush phase. Returns the committed
 /// manifest, or `None` if any step failed (checkpoint must abort).
 fn try_wait_flush<V: Pod>(
-    inner: &Arc<StoreInner<V>>,
+    inner: &StoreInner<V>,
     v: u64,
-    ctx: crate::store::CkptCtx,
+    ctx: CkptCtx,
 ) -> Option<CheckpointManifest> {
     let hl = &inner.hlog;
 
@@ -142,34 +96,9 @@ fn try_wait_flush<V: Pod>(
     manifest.index_begin = lis;
     manifest.index_end = lie;
     manifest.snapshot_start = snapshot_start;
-    manifest.sessions = session_points(inner, v);
+    manifest.sessions = inner.session_points(v);
     inner.store.commit(&manifest).ok()?;
     Some(manifest)
-}
-
-/// Per-session commit points for the manifest of version `v`: the newest
-/// durable points carried forward, detached sessions' deposited points,
-/// and the live registry snapshot, merged by max. Serials only grow per
-/// guid, so max picks the newest claim each source can justify (and a
-/// session that re-attached mid-checkpoint — registry point still 0 —
-/// keeps the point it deposited when it detached).
-pub(crate) fn session_points<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) -> Vec<SessionCpr> {
-    let mut points: HashMap<u64, u64> = inner.durable_points.lock().clone();
-    for (guid, p) in inner
-        .detached
-        .points_for(v)
-        .into_iter()
-        .chain(inner.registry.cpr_points())
-    {
-        let e = points.entry(guid).or_insert(0);
-        *e = (*e).max(p);
-    }
-    let mut out: Vec<SessionCpr> = points
-        .into_iter()
-        .map(|(guid, cpr_point)| SessionCpr { guid, cpr_point })
-        .collect();
-    out.sort_unstable_by_key(|s| s.guid);
-    out
 }
 
 /// Standalone fuzzy index checkpoint (paper Sec. 6.3): the index is

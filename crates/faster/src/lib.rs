@@ -42,7 +42,6 @@ mod io;
 mod recovery;
 mod session;
 mod store;
-mod watchdog;
 
 pub use cpr_core::liveness::{
     Clock, CommitOutcome, LivenessConfig, SessionStatus, SystemClock, VirtualClock,
@@ -51,7 +50,5 @@ pub use cpr_core::{CheckpointVersion, SessionInfo};
 pub use hlog::{HlogConfig, HybridLog};
 pub use index::HashIndex;
 pub use session::{Completion, FasterSession, OpKind, ReadResult, SessionStats, Status};
-pub use store::{
-    CheckpointVariant, CommitCallback, FasterBuilder, FasterKv, FasterOptions, FasterStore,
-    VersionGrain,
-};
+pub use cpr_core::CommitCallback;
+pub use store::{CheckpointVariant, FasterBuilder, FasterKv, VersionGrain};

@@ -209,12 +209,6 @@ impl<V: Pod> FasterSession<V> {
         self.serial
     }
 
-    /// Thread-local (phase, version) view.
-    #[deprecated(since = "0.2.0", note = "use `info()` instead")]
-    pub fn view(&self) -> (Phase, u64) {
-        (self.phase, self.version)
-    }
-
     /// Structured snapshot of the session's identity and thread-local
     /// CPR state.
     pub fn info(&self) -> SessionInfo {
@@ -271,8 +265,11 @@ impl<V: Pod> FasterSession<V> {
         if (gp, gv) != (self.phase, self.version) {
             // Entering prepare: protect pre-existing pending requests so
             // post-point writers cannot overtake them (paper Sec. 6.2.1).
-            if gp == Phase::Prepare && gv == self.version && self.phase == Phase::Rest {
-                self.protect_pendings();
+            // A session that slept through the end of the previous commit
+            // arrives from its wait-pending or wait-flush, where requests
+            // already carried version `gv`.
+            if gp == Phase::Prepare {
+                self.protect_pendings(gv);
             }
             let crossed = self.phase <= Phase::Prepare
                 && ((gv == self.version && gp >= Phase::InProgress) || gv > self.version);
@@ -445,12 +442,13 @@ impl<V: Pod> FasterSession<V> {
     }
 
     /// Fine grain: take shared latches (coarse: register key guards) for
-    /// pending requests when entering prepare.
-    fn protect_pendings(&mut self) {
+    /// pending requests of version `v` or older when entering prepare of
+    /// `v`.
+    fn protect_pendings(&mut self, v: u64) {
         match self.store.grain {
             VersionGrain::Fine => {
                 for op in &mut self.pending {
-                    if op.tag == self.version && op.latch.is_none() {
+                    if op.tag <= v && op.latch.is_none() {
                         let b = self.store.index.bucket_index(key_hash(op.key));
                         // Cannot fail persistently: exclusive holders only
                         // exist in in-progress, which starts later.
@@ -464,7 +462,7 @@ impl<V: Pod> FasterSession<V> {
             VersionGrain::Coarse => {
                 let mut guard = self.store.pending_v_keys.lock();
                 for op in &mut self.pending {
-                    if op.tag == self.version && !op.guarded {
+                    if op.tag <= v && !op.guarded {
                         guard.insert(op.key);
                         op.guarded = true;
                     }

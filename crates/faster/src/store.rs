@@ -5,21 +5,17 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use cpr_core::commit::{self, CommitCore, CommitEngine};
 use cpr_core::liveness::{CommitOutcome, LivenessConfig};
-use cpr_core::{
-    CheckpointManifest, CheckpointVersion, DetachedSessions, NoWaitLock, Phase, Pod,
-    SessionRegistry, SystemState,
-};
-use cpr_epoch::EpochManager;
+use cpr_core::{CheckpointManifest, CheckpointVersion, NoWaitLock, Phase, Pod, SessionCpr};
 use cpr_metrics::{MetricsReport, Registry};
 use cpr_storage::{
     CheckpointStore, Device, FaultDevice, FaultInjector, FileDevice, IoProfile, MeteredDevice,
 };
 use crossbeam_utils::CachePadded;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::hlog::{HlogConfig, HybridLog};
 use crate::index::HashIndex;
@@ -48,50 +44,24 @@ pub enum VersionGrain {
     Coarse,
 }
 
-/// Store configuration.
-pub struct FasterOptions<V: Pod> {
+/// Store configuration, set through [`FasterBuilder`]; each field is
+/// documented on the builder method of the same name.
+pub(crate) struct FasterOptions<V: Pod> {
     pub index_buckets: usize,
     pub hlog: HlogConfig,
     /// Directory holding `log.dat` and the checkpoint store.
     pub dir: PathBuf,
-    /// Ops between session refreshes.
     pub refresh_every: u64,
     pub grain: VersionGrain,
     pub max_sessions: usize,
     pub io_threads: usize,
-    /// Writer queues for the log device: checkpoint flushes stripe their
-    /// chunks across this many background writer threads. Defaults to
-    /// the `CPR_IO_THREADS` environment variable (1 when unset).
     pub write_queues: usize,
-    /// Worker threads for the recovery scan of `[S, E)`. Defaults to the
-    /// `CPR_IO_THREADS` environment variable (1 when unset). The
-    /// recovered state is byte-identical at any thread count.
     pub recovery_threads: usize,
-    /// Simulated device speed profile for the log device (benchmarks);
-    /// defaults to [`IoProfile::NONE`] (real hardware speed).
     pub io_profile: IoProfile,
-    /// RMW semantics: `new = rmw(old, input)`; a missing key starts from
-    /// `input`.
     pub rmw: fn(V, V) -> V,
-    /// Optional fault injector for crash-recovery testing: decorates the
-    /// log device and the checkpoint store so every durable write draws
-    /// from one scriptable fault schedule.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Optional session liveness watchdog: lease-based straggler
-    /// detection, checkpoint abort + backoff, dead-session reclamation.
     pub liveness: Option<LivenessConfig>,
-    /// Metrics registry; defaults to a disabled no-op sink.
     pub metrics: Arc<Registry>,
-}
-
-impl FasterOptions<u64> {
-    /// The paper's YCSB RMW workload: a running per-key sum.
-    pub fn u64_sums(dir: impl Into<PathBuf>) -> Self {
-        FasterOptions {
-            rmw: |old, input| old.wrapping_add(input),
-            ..FasterOptions::defaults(dir.into())
-        }
-    }
 }
 
 impl<V: Pod> FasterOptions<V> {
@@ -117,35 +87,6 @@ impl<V: Pod> FasterOptions<V> {
             liveness: None,
             metrics: Registry::noop(),
         }
-    }
-
-    pub fn with_hlog(mut self, hlog: HlogConfig) -> Self {
-        self.hlog = hlog;
-        self
-    }
-    pub fn with_grain(mut self, g: VersionGrain) -> Self {
-        self.grain = g;
-        self
-    }
-    pub fn with_index_buckets(mut self, n: usize) -> Self {
-        self.index_buckets = n;
-        self
-    }
-    pub fn with_refresh_every(mut self, k: u64) -> Self {
-        self.refresh_every = k;
-        self
-    }
-    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.fault = Some(injector);
-        self
-    }
-    pub fn with_liveness(mut self, cfg: LivenessConfig) -> Self {
-        self.liveness = Some(cfg);
-        self
-    }
-    pub fn with_metrics(mut self, metrics: Arc<Registry>) -> Self {
-        self.metrics = metrics;
-        self
     }
 }
 
@@ -190,9 +131,7 @@ impl<V: Pod> std::fmt::Debug for FasterBuilder<V> {
 impl FasterBuilder<u64> {
     /// The paper's YCSB RMW workload preset: a running per-key sum.
     pub fn u64_sums(dir: impl Into<PathBuf>) -> Self {
-        FasterBuilder {
-            opts: FasterOptions::u64_sums(dir),
-        }
+        FasterBuilder::new(dir).rmw(|old, input| old.wrapping_add(input))
     }
 }
 
@@ -234,18 +173,22 @@ impl<V: Pod> FasterBuilder<V> {
         self.opts.io_threads = n;
         self
     }
-    /// Writer queues for the log device (checkpoint-flush striping).
+    /// Writer queues for the log device: checkpoint flushes stripe their
+    /// chunks across this many writer threads (default: the
+    /// `CPR_IO_THREADS` environment variable, 1 when unset).
     pub fn write_queues(mut self, n: usize) -> Self {
         self.opts.write_queues = n.max(1);
         self
     }
-    /// Worker threads for the recovery scan (see
-    /// [`FasterOptions::recovery_threads`]).
+    /// Worker threads for the recovery scan of `[S, E)` (default: the
+    /// `CPR_IO_THREADS` environment variable, 1 when unset). The
+    /// recovered state is byte-identical at any thread count.
     pub fn recovery_threads(mut self, n: usize) -> Self {
         self.opts.recovery_threads = n.max(1);
         self
     }
-    /// Simulated device speed profile for the log device (benchmarks).
+    /// Simulated device speed profile for the log device, for benchmarks
+    /// (default [`IoProfile::NONE`]: real hardware speed).
     pub fn io_profile(mut self, profile: IoProfile) -> Self {
         self.opts.io_profile = profile;
         self
@@ -272,11 +215,6 @@ impl<V: Pod> FasterBuilder<V> {
         self.opts.metrics = registry;
         self
     }
-    /// Escape hatch: the underlying options struct.
-    pub fn options(self) -> FasterOptions<V> {
-        self.opts
-    }
-
     /// Open a fresh store (truncates any existing log).
     pub fn open(self) -> io::Result<FasterKv<V>> {
         FasterKv::open_inner(self.opts)
@@ -289,17 +227,12 @@ impl<V: Pod> FasterBuilder<V> {
     }
 }
 
-/// Commit observer: `(committed version, per-session CPR points)`.
-pub type CommitCallback = Box<dyn Fn(u64, &[cpr_core::SessionCpr]) + Send + Sync>;
-
 /// A checkpoint in flight.
 pub(crate) struct CkptCtx {
     pub token: u64,
     pub variant: CheckpointVariant,
     pub log_only: bool,
     pub lhs: u64,
-    pub started: Instant,
-    pub phase_marks: Vec<(Phase, Duration)>,
 }
 
 /// Mirror of the protections held by one pending operation, kept in a
@@ -318,15 +251,12 @@ pub(crate) struct OfflineGuard {
 }
 
 pub(crate) struct StoreInner<V: Pod> {
+    /// The commit state machine, session registry and epochs (shared
+    /// with memdb; see [`cpr_core::commit`]).
+    pub(crate) core: CommitCore<CkptRequest>,
     pub(crate) index: HashIndex,
     pub(crate) latches: Box<[NoWaitLock]>,
     pub(crate) hlog: Arc<HybridLog>,
-    pub(crate) epoch: Arc<EpochManager>,
-    pub(crate) state: SystemState,
-    pub(crate) registry: SessionRegistry,
-    pub(crate) committed_version: AtomicU64,
-    pub(crate) commit_lock: Mutex<()>,
-    pub(crate) commit_cv: Condvar,
     pub(crate) store: CheckpointStore,
     /// Outstanding pending operations per version parity (gates the
     /// wait-pending → wait-flush transition).
@@ -336,53 +266,104 @@ pub(crate) struct StoreInner<V: Pod> {
     pub(crate) pending_v_keys: Mutex<HashSet<u64>>,
     pub(crate) io: IoPool,
     pub(crate) ckpt: Mutex<Option<CkptCtx>>,
-    ckpt_tx: Mutex<Option<crossbeam::channel::Sender<u64>>>,
-    ckpt_thread: Mutex<Option<JoinHandle<()>>>,
-    /// Liveness configuration (None = no watchdog, zero overhead).
-    pub(crate) liveness: Option<LivenessConfig>,
     /// Per-session-slot mirror of pending-op protections (see
     /// [`OfflineGuard`]). Populated only when liveness is on.
     pub(crate) offline_pending: Mutex<HashMap<usize, Vec<OfflineGuard>>>,
-    /// Book-keeping for the in-flight (or most recent) commit attempt.
-    pub(crate) outcome: Mutex<CommitOutcome>,
-    watchdog_thread: Mutex<Option<JoinHandle<()>>>,
-    /// Per-guid commit points of the newest durable manifest, seeded from
-    /// the recovery manifest and updated after every commit. Carried
-    /// forward into each new manifest so sessions that are not attached
-    /// at commit time keep their recovery contract.
-    pub(crate) durable_points: Mutex<HashMap<u64, u64>>,
-    /// Commit points (and live-resume serials) of sessions that detached
-    /// since the store opened — dropped handles, disconnected clients,
-    /// watchdog evictions.
-    pub(crate) detached: DetachedSessions,
-    /// Checkpoints that failed on I/O and were aborted (no manifest).
-    pub(crate) checkpoint_failures: AtomicU64,
-    pub(crate) last_phase_marks: Mutex<Vec<(Phase, Duration)>>,
-    /// Commit observers (paper Sec. 5.2): called with (version, CPR
-    /// points) after every durable commit, on the checkpoint thread.
-    pub(crate) commit_callbacks: Mutex<Vec<CommitCallback>>,
     pub(crate) refresh_every: u64,
     pub(crate) grain: VersionGrain,
     /// Log-device writer queues (for flush phase-timing attribution).
     pub(crate) write_queues: usize,
     pub(crate) rmw: fn(V, V) -> V,
     pub(crate) value_words: usize,
-    /// Observability sink (no-op unless enabled at open time).
-    pub(crate) metrics: Arc<Registry>,
-    /// Cached `metrics.is_enabled()` so hot paths skip clock reads.
-    pub(crate) metrics_on: bool,
     /// Fault injector handle, kept so snapshots can report fault hits.
     pub(crate) fault: Option<Arc<FaultInjector>>,
+}
+
+/// What a checkpoint request asks for: its variant and whether it skips
+/// the index (`log_only`).
+pub(crate) type CkptRequest = (CheckpointVariant, bool);
+
+/// The store *is* a commit core plus its log and index: sessions reach
+/// the state machine, registry and epochs through this.
+impl<V: Pod> std::ops::Deref for StoreInner<V> {
+    type Target = CommitCore<CkptRequest>;
+    fn deref(&self) -> &CommitCore<CkptRequest> {
+        &self.core
+    }
+}
+
+impl<V: Pod> CommitEngine for StoreInner<V> {
+    type Request = CkptRequest;
+    const PHASES: &'static [Phase] = &[Phase::InProgress, Phase::WaitPending, Phase::WaitFlush];
+
+    fn kind(&self, (variant, log_only): CkptRequest) -> &'static str {
+        match (variant, log_only) {
+            (CheckpointVariant::FoldOver, false) => "fold-over",
+            (CheckpointVariant::FoldOver, true) => "fold-over-log-only",
+            (CheckpointVariant::Snapshot, false) => "snapshot",
+            (CheckpointVariant::Snapshot, true) => "snapshot-log-only",
+        }
+    }
+
+    fn begin(&self, _v: u64, (variant, log_only): CkptRequest) -> io::Result<()> {
+        let token = self.store.begin()?;
+        *self.ckpt.lock() = Some(CkptCtx {
+            token,
+            variant,
+            log_only,
+            lhs: self.hlog.tail(),
+        });
+        Ok(())
+    }
+
+    fn flush(&self, v: u64) -> Option<Vec<SessionCpr>> {
+        crate::checkpoint::flush(self, v)
+    }
+
+    // Wait-flush is I/O-bound, not straggler-bound: `abort_flush` keeps
+    // its default and a flush is never aborted.
+    fn release(&self, _v: u64) {
+        if let Some(ctx) = self.ckpt.lock().take() {
+            let _ = self.store.abort(ctx.token);
+            self.checkpoint_failures.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
+    fn ready(&self, phase: Phase, v: u64) -> bool {
+        phase != Phase::WaitPending
+            || self.pending_count[(v & 1) as usize].load(Ordering::Acquire) == 0
+    }
+
+    fn has_pendings(&self, idx: usize) -> bool {
+        self.offline_pending
+            .lock()
+            .get(&idx)
+            .is_some_and(|gs| !gs.is_empty())
+    }
+
+    /// Remove and release every offline-pending entry of a session slot.
+    /// The map entry is the ownership token: the owner's `finish_pending`
+    /// finds it gone and releases nothing, so no protection is dropped
+    /// twice.
+    fn cancel_pendings(&self, idx: usize) -> Vec<u64> {
+        let entries = self.offline_pending.lock().remove(&idx).unwrap_or_default();
+        for g in &entries {
+            if let Some(b) = g.latch {
+                self.latches[b].release_shared();
+            }
+            if let Some(k) = g.guarded_key {
+                self.pending_v_keys.lock().remove(&k);
+            }
+            self.pending_count[(g.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+        }
+        entries.iter().map(|g| g.serial).collect()
+    }
 }
 
 /// Handle to a FASTER store; cheap to clone.
 pub struct FasterKv<V: Pod> {
     pub(crate) inner: Arc<StoreInner<V>>,
 }
-
-/// Store-centric alias for [`FasterKv`], matching the builder-first API
-/// surface (`FasterStore::builder(dir)...open()`).
-pub type FasterStore<V> = FasterKv<V>;
 
 impl<V: Pod> Clone for FasterKv<V> {
     fn clone(&self) -> Self {
@@ -399,12 +380,6 @@ impl<V: Pod> FasterKv<V> {
         FasterBuilder::new(dir)
     }
 
-    /// Open a fresh store (truncates any existing log).
-    #[deprecated(since = "0.2.0", note = "use `FasterKv::builder(dir)...open()` instead")]
-    pub fn open(opts: FasterOptions<V>) -> io::Result<Self> {
-        Self::open_inner(opts)
-    }
-
     pub(crate) fn open_inner(opts: FasterOptions<V>) -> io::Result<Self> {
         std::fs::create_dir_all(&opts.dir)?;
         let base: Arc<dyn Device> = Arc::new(FileDevice::create_with(
@@ -419,53 +394,42 @@ impl<V: Pod> FasterKv<V> {
         Self::build(opts, device, None)
     }
 
-    /// Recover from the newest committed checkpoint (paper Sec. 6.4 /
-    /// Alg. 3). Returns the manifest used, if any.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `FasterKv::builder(dir)...recover()` instead"
-    )]
-    pub fn recover(opts: FasterOptions<V>) -> io::Result<(Self, Option<CheckpointManifest>)> {
-        crate::recovery::recover(opts)
-    }
-
     pub(crate) fn build(
         opts: FasterOptions<V>,
         device: Arc<dyn Device>,
         recovered: Option<(HashIndex, u64, HashMap<u64, u64>)>,
     ) -> io::Result<Self> {
-        let epoch = Arc::new(EpochManager::new(opts.max_sessions + 8));
         assert_eq!(
             opts.hlog.value_size,
             std::mem::size_of::<V>(),
             "hlog value_size must match size_of::<V>()"
         );
-        let metrics_on = opts.metrics.is_enabled();
-        let device: Arc<dyn Device> = if metrics_on {
-            epoch.set_metrics(Arc::clone(&opts.metrics));
-            Arc::new(MeteredDevice::new(device, Arc::clone(&opts.metrics)))
-        } else {
-            device
-        };
-        let hlog = HybridLog::new(opts.hlog, Arc::clone(&device), Arc::clone(&epoch));
         let (index, version, sessions) = match recovered {
             Some((index, version, sessions)) => (index, version, sessions),
             None => (HashIndex::new(opts.index_buckets), 1, HashMap::new()),
         };
+        let core = CommitCore::new(
+            version,
+            opts.max_sessions,
+            opts.liveness.clone(),
+            Arc::clone(&opts.metrics),
+        );
+        *core.durable_points.lock() = sessions;
+        let device: Arc<dyn Device> = if core.metrics_on {
+            Arc::new(MeteredDevice::new(device, Arc::clone(&opts.metrics)))
+        } else {
+            device
+        };
+        let hlog = HybridLog::new(opts.hlog, Arc::clone(&device), Arc::clone(&core.epoch));
         let latch_count = index.bucket_count();
         let store = CheckpointStore::open_with(opts.dir.join("checkpoints"), opts.fault.clone())?
             .with_metrics(Arc::clone(&opts.metrics));
         let io = IoPool::new(device, opts.io_threads);
         let inner = Arc::new(StoreInner {
+            core,
             latches: (0..latch_count).map(|_| NoWaitLock::new()).collect(),
             index,
             hlog,
-            epoch,
-            state: SystemState::at_version(version),
-            registry: SessionRegistry::new(opts.max_sessions),
-            committed_version: AtomicU64::new(version - 1),
-            commit_lock: Mutex::new(()),
-            commit_cv: Condvar::new(),
             store,
             pending_count: [
                 CachePadded::new(AtomicU64::new(0)),
@@ -474,50 +438,15 @@ impl<V: Pod> FasterKv<V> {
             pending_v_keys: Mutex::new(HashSet::new()),
             io,
             ckpt: Mutex::new(None),
-            ckpt_tx: Mutex::new(None),
-            ckpt_thread: Mutex::new(None),
-            liveness: opts.liveness.clone(),
             offline_pending: Mutex::new(HashMap::new()),
-            outcome: Mutex::new(CommitOutcome::default()),
-            watchdog_thread: Mutex::new(None),
-            durable_points: Mutex::new(sessions),
-            detached: DetachedSessions::new(),
-            checkpoint_failures: AtomicU64::new(0),
-            last_phase_marks: Mutex::new(Vec::new()),
-            commit_callbacks: Mutex::new(Vec::new()),
             refresh_every: opts.refresh_every,
             grain: opts.grain,
             write_queues: opts.write_queues,
             rmw: opts.rmw,
             value_words: crate::header::RecordLayout::new(opts.hlog.value_size).value_words(),
-            metrics: opts.metrics,
-            metrics_on,
             fault: opts.fault,
         });
-        // Checkpoint worker: runs the wait-flush work off the hot path.
-        // Holds only a Weak reference so dropping the last user handle
-        // tears the store down (no Arc cycle through the thread).
-        let (tx, rx) = crossbeam::channel::unbounded::<u64>();
-        let worker = Arc::downgrade(&inner);
-        let handle = std::thread::Builder::new()
-            .name("cpr-faster-checkpoint".into())
-            .spawn(move || {
-                for version in rx {
-                    let Some(inner) = worker.upgrade() else { break };
-                    crate::checkpoint::run_wait_flush(&inner, version);
-                }
-            })
-            .expect("spawn checkpoint thread");
-        *inner.ckpt_tx.lock() = Some(tx);
-        *inner.ckpt_thread.lock() = Some(handle);
-        if let Some(cfg) = inner.liveness.clone() {
-            let weak = Arc::downgrade(&inner);
-            let handle = std::thread::Builder::new()
-                .name("cpr-faster-watchdog".into())
-                .spawn(move || crate::watchdog::run(weak, cfg))
-                .expect("spawn watchdog thread");
-            *inner.watchdog_thread.lock() = Some(handle);
-        }
+        commit::spawn_workers(&inner, "cpr-faster");
         Ok(FasterKv { inner })
     }
 
@@ -534,12 +463,7 @@ impl<V: Pod> FasterKv<V> {
     /// guid's commit point from the recovery manifest: every later serial
     /// must be re-issued (the CPR resume contract, paper Sec. 2).
     pub fn continue_session(&self, guid: u64) -> (FasterSession<V>, u64) {
-        let serial = self
-            .inner
-            .detached
-            .last_serial(guid)
-            .or_else(|| self.inner.durable_points.lock().get(&guid).copied())
-            .unwrap_or(0);
+        let serial = self.inner.resume_serial(guid);
         (
             FasterSession::new(Arc::clone(&self.inner), guid, serial),
             serial,
@@ -549,7 +473,7 @@ impl<V: Pod> FasterKv<V> {
     /// The guid's durable commit point: the serial below which every op
     /// is guaranteed recovered after a crash right now.
     pub fn durable_point(&self, guid: u64) -> u64 {
-        self.inner.durable_points.lock().get(&guid).copied().unwrap_or(0)
+        self.inner.durable_point(guid)
     }
 
     /// Request a CPR commit (paper Fig. 9a). Returns `false` if one is
@@ -557,14 +481,7 @@ impl<V: Pod> FasterKv<V> {
     /// checkpoint (paper Sec. 6.3: the index can be checkpointed far less
     /// frequently).
     pub fn request_checkpoint(&self, variant: CheckpointVariant, log_only: bool) -> bool {
-        if !start_checkpoint(&self.inner, variant, log_only) {
-            return false;
-        }
-        *self.inner.outcome.lock() = CommitOutcome {
-            attempts: 1,
-            ..CommitOutcome::default()
-        };
-        true
+        commit::request(&self.inner, (variant, log_only))
     }
 
     /// Fuzzy checkpoint of the hash index alone (paper Sec. 6.3).
@@ -574,18 +491,19 @@ impl<V: Pod> FasterKv<V> {
 
     /// Register a commit observer (paper Sec. 5.2): called with the
     /// committed version and every session's CPR point after each durable
-    /// commit. Runs on the checkpoint thread — keep it brief.
+    /// commit, before the version is published. Runs on the flush worker
+    /// thread — keep it brief.
     pub fn on_commit(
         &self,
         callback: impl Fn(u64, &[cpr_core::SessionCpr]) + Send + Sync + 'static,
     ) {
-        self.inner.commit_callbacks.lock().push(Box::new(callback));
+        self.inner.on_commit(Box::new(callback));
     }
 
     /// Version of the newest durable commit
     /// ([`CheckpointVersion::NONE`] = none).
     pub fn committed_version(&self) -> CheckpointVersion {
-        CheckpointVersion::from(self.inner.committed_version.load(Ordering::Acquire))
+        self.inner.core.committed_version()
     }
 
     /// Snapshot of every metric the store has recorded: op latencies,
@@ -620,25 +538,7 @@ impl<V: Pod> FasterKv<V> {
     /// Block until the commit of `version` is durable (sessions must keep
     /// refreshing). Returns `false` on timeout.
     pub fn wait_for_version(&self, version: impl Into<CheckpointVersion>, timeout: Duration) -> bool {
-        let version = version.into();
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.commit_lock.lock();
-        while self.committed_version() < version {
-            self.inner.epoch.try_drain();
-            if Instant::now() >= deadline {
-                return false;
-            }
-            self.inner
-                .commit_cv
-                .wait_for(&mut g, Duration::from_millis(1));
-        }
-        true
-    }
-
-    /// Per-phase durations of the last completed checkpoint (the §7.3.1
-    /// profile).
-    pub fn last_checkpoint_phases(&self) -> Vec<(Phase, Duration)> {
-        self.inner.last_phase_marks.lock().clone()
+        self.inner.wait_for_version(version.into(), timeout)
     }
 
     /// HybridLog tail (log growth metric of Fig. 12d / 18d).
@@ -745,169 +645,6 @@ impl<V: Pod> FasterKv<V> {
             .collect();
         out.sort_unstable_by_key(|&(k, _)| k);
         Ok(out)
-    }
-}
-
-/// Begin a CPR commit: `rest → prepare` plus the epoch trigger chain.
-/// Shared by [`FasterKv::request_checkpoint`] and the watchdog's
-/// backed-off retries (which must re-begin a fresh store token).
-pub(crate) fn start_checkpoint<V: Pod>(
-    inner: &Arc<StoreInner<V>>,
-    variant: CheckpointVariant,
-    log_only: bool,
-) -> bool {
-    let v = inner.state.version();
-    if !inner
-        .state
-        .transition((Phase::Rest, v), (Phase::Prepare, v))
-    {
-        return false;
-    }
-    let token = match inner.store.begin() {
-        Ok(t) => t,
-        Err(_) => {
-            // Can't even create the checkpoint directory (e.g. the
-            // simulated device crashed): roll back to rest at the same
-            // version and report the failure.
-            let ok = inner
-                .state
-                .transition((Phase::Prepare, v), (Phase::Rest, v));
-            debug_assert!(ok, "prepare rollback must succeed");
-            inner.checkpoint_failures.fetch_add(1, Ordering::AcqRel);
-            return false;
-        }
-    };
-    *inner.ckpt.lock() = Some(CkptCtx {
-        token,
-        variant,
-        log_only,
-        lhs: inner.hlog.tail(),
-        started: Instant::now(),
-        phase_marks: vec![(Phase::Prepare, Duration::ZERO)],
-    });
-    if inner.metrics_on {
-        inner.metrics.checkpoints.begin(v, ckpt_kind_label(variant, log_only));
-    }
-
-    let i1 = Arc::clone(inner);
-    let i2 = Arc::clone(inner);
-    inner.epoch.bump_epoch(
-        Some(Box::new(move || {
-            let ready = i1.registry.all_at_least(Phase::Prepare, v);
-            if !ready && i1.metrics_on {
-                if let Some((_, guid)) = i1.registry.first_blocker(Phase::Prepare, v) {
-                    i1.metrics.checkpoints.note_blocker(guid);
-                }
-            }
-            ready
-        })),
-        Box::new(move || prepare_to_inprog(i2, v)),
-    );
-    true
-}
-
-/// Human-readable checkpoint-kind label for the phase tracer.
-pub(crate) fn ckpt_kind_label(variant: CheckpointVariant, log_only: bool) -> &'static str {
-    match (variant, log_only) {
-        (CheckpointVariant::FoldOver, false) => "fold-over",
-        (CheckpointVariant::FoldOver, true) => "fold-over-log-only",
-        (CheckpointVariant::Snapshot, false) => "snapshot",
-        (CheckpointVariant::Snapshot, true) => "snapshot-log-only",
-    }
-}
-
-fn prepare_to_inprog<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
-    // A failed transition means the watchdog timed this attempt out and
-    // returned the machine to rest; the stale trigger is simply dropped.
-    if !inner
-        .state
-        .transition((Phase::Prepare, v), (Phase::InProgress, v))
-    {
-        return;
-    }
-    mark_phase(&inner, Phase::InProgress);
-    let epoch = Arc::clone(&inner.epoch);
-    let i1 = Arc::clone(&inner);
-    let i2 = inner;
-    epoch.bump_epoch(
-        Some(Box::new(move || {
-            let ready = i1.registry.all_at_least(Phase::InProgress, v);
-            if !ready && i1.metrics_on {
-                if let Some((_, guid)) = i1.registry.first_blocker(Phase::InProgress, v) {
-                    i1.metrics.checkpoints.note_blocker(guid);
-                }
-            }
-            ready
-        })),
-        Box::new(move || inprog_to_waitpending(i2, v)),
-    );
-}
-
-fn inprog_to_waitpending<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
-    if !inner
-        .state
-        .transition((Phase::InProgress, v), (Phase::WaitPending, v))
-    {
-        return; // aborted by the watchdog
-    }
-    mark_phase(&inner, Phase::WaitPending);
-    let epoch = Arc::clone(&inner.epoch);
-    let i1 = Arc::clone(&inner);
-    let i2 = inner;
-    epoch.bump_epoch(
-        Some(Box::new(move || {
-            let ready = i1.registry.all_at_least(Phase::WaitPending, v)
-                && i1.pending_count[(v & 1) as usize].load(Ordering::Acquire) == 0;
-            if !ready && i1.metrics_on {
-                if let Some((_, guid)) = i1.registry.first_blocker(Phase::WaitPending, v) {
-                    i1.metrics.checkpoints.note_blocker(guid);
-                }
-            }
-            ready
-        })),
-        Box::new(move || waitpending_to_waitflush(i2, v)),
-    );
-}
-
-fn waitpending_to_waitflush<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
-    if !inner
-        .state
-        .transition((Phase::WaitPending, v), (Phase::WaitFlush, v))
-    {
-        return; // aborted by the watchdog
-    }
-    mark_phase(&inner, Phase::WaitFlush);
-    if let Some(tx) = inner.ckpt_tx.lock().as_ref() {
-        tx.send(v).expect("checkpoint thread alive");
-    }
-}
-
-pub(crate) fn mark_phase<V: Pod>(inner: &StoreInner<V>, phase: Phase) {
-    if let Some(ctx) = inner.ckpt.lock().as_mut() {
-        ctx.phase_marks.push((phase, ctx.started.elapsed()));
-    }
-    if inner.metrics_on {
-        // The state machine has already transitioned to (phase, v) when
-        // this runs, so the current version indexes the active trace.
-        inner
-            .metrics
-            .checkpoints
-            .mark(inner.state.version(), phase.name());
-    }
-}
-
-impl<V: Pod> Drop for StoreInner<V> {
-    fn drop(&mut self) {
-        self.ckpt_tx.lock().take();
-        for slot in [&self.ckpt_thread, &self.watchdog_thread] {
-            if let Some(h) = slot.lock().take() {
-                // The final Arc may be dropped *by the worker itself* (it
-                // upgrades its Weak per job); never join our own thread.
-                if h.thread().id() != std::thread::current().id() {
-                    let _ = h.join();
-                }
-            }
-        }
     }
 }
 

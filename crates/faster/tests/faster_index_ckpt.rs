@@ -172,11 +172,14 @@ fn grain_can_change_across_restarts() {
     assert_eq!(s.durable_serial(), accepted);
 }
 
-/// The per-phase profile is recorded for every full commit.
+/// The phase tracer records every transition of a full commit, in order.
 #[test]
 fn phase_marks_cover_all_transitions() {
     let dir = tempfile::tempdir().unwrap();
-    let kv = opts(dir.path()).open().unwrap();
+    let kv = opts(dir.path())
+        .metrics(cpr_metrics::Registry::new())
+        .open()
+        .unwrap();
     let mut s = kv.start_session(1);
     for k in 0..50u64 {
         s.upsert(k, k);
@@ -185,16 +188,20 @@ fn phase_marks_cover_all_transitions() {
     while kv.committed_version() < 1 {
         s.refresh();
     }
-    let marks = kv.last_checkpoint_phases();
-    let phases: Vec<_> = marks.iter().map(|(p, _)| *p).collect();
-    use cpr_core::Phase::*;
+    let timeline = kv
+        .metrics_snapshot()
+        .checkpoints
+        .pop()
+        .expect("a finished checkpoint timeline");
+    assert!(timeline.committed);
+    let phases: Vec<&str> = timeline.phases.iter().map(|p| p.phase.as_str()).collect();
     assert_eq!(
         phases,
-        vec![Prepare, InProgress, WaitPending, WaitFlush, Rest]
+        ["prepare", "in-progress", "wait-pending", "wait-flush"]
     );
-    // Durations are non-decreasing offsets from commit start.
-    for w in marks.windows(2) {
-        assert!(w[0].1 <= w[1].1);
+    // Entry offsets from commit start never decrease.
+    for w in timeline.phases.windows(2) {
+        assert!(w[0].enter_secs <= w[1].enter_secs);
     }
 }
 

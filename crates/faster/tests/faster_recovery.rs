@@ -544,3 +544,88 @@ fn device_walk_steps_over_records_marked_invalid() {
         assert_eq!(read_now(&mut s, top), Some(3), "{threads} threads");
     }
 }
+
+/// A session that sleeps through the end of one commit and the start of
+/// the next jumps from (wait-pending, v - 1) straight to (prepare, v).
+/// Requests it accepted at wait-pending of v - 1 carry version v, so they
+/// are pre-point for v and must be protected on that jump as on the usual
+/// rest → prepare one. Unprotected, a post-point writer hands the key over
+/// to v + 1 first and the pre-point update lands in the v + 1 record: the
+/// commit of v reports it durable but recovery loses it.
+#[test]
+fn pending_update_from_before_a_missed_prepare_is_recovered() {
+    use cpr_core::Phase;
+    use cpr_faster::Status;
+    let key = 7u64;
+    let dir = tempfile::tempdir().unwrap();
+    let open = || {
+        FasterBuilder::u64_sums(dir.path())
+            .hlog(HlogConfig {
+                page_bits: 12,
+                memory_pages: 16,
+                mutable_pages: 1,
+                value_size: 8,
+            })
+            // Sessions refresh only where the test says so.
+            .refresh_every(1 << 30)
+    };
+    let last_serial = {
+        let kv = open().open().unwrap();
+        let mut s0 = kv.start_session(1);
+        let mut s1 = kv.start_session(2);
+        assert_eq!(s0.upsert(key, 1), Status::Ok);
+
+        // Commit 1 (a snapshot: its flush needs no session refresh). Once
+        // both sessions have refreshed inside wait-pending the machine
+        // leaves it; s0 refreshes no further and sleeps through the rest.
+        assert!(kv.request_checkpoint(CheckpointVariant::Snapshot, true));
+        while kv.state().0 != Phase::WaitPending {
+            s0.refresh();
+            s1.refresh();
+        }
+        s0.refresh();
+        s1.refresh();
+        assert!(kv.wait_for_version(1, Duration::from_secs(10)));
+        let (phase, version) = (s0.info().phase, s0.info().version.0);
+        assert!(
+            phase >= Phase::WaitPending && version == 1,
+            "{phase:?} {version}"
+        );
+
+        // Still inside commit 1, requests carry version 2: copy `key` into
+        // a version-2 record, then fill the mutable page so that record
+        // turns read-only but not yet safely so (s1 has not refreshed
+        // since); updating it again goes pending.
+        assert_eq!(s0.upsert(key, 5), Status::Ok);
+        for k in 1000..1400u64 {
+            assert_eq!(s0.upsert(k, k), Status::Ok);
+        }
+        assert_eq!(s0.upsert(key, 10), Status::Pending);
+        let last = s0.info().serial;
+
+        // Commit 2: s0 jumps straight into prepare; s1 then drives the
+        // machine into in-progress and writes `key` after its CPR point.
+        assert!(kv.request_checkpoint(CheckpointVariant::Snapshot, true));
+        s0.refresh();
+        assert_eq!((s0.info().phase, s0.info().version.0), (Phase::Prepare, 2));
+        while s1.info().phase != Phase::InProgress {
+            s1.refresh();
+        }
+        let _ = s1.upsert(key, 20);
+        while kv.committed_version() < 2 {
+            s0.refresh();
+            s1.refresh();
+        }
+        last
+    };
+    let (kv, manifest) = open().recover().unwrap();
+    let manifest = manifest.unwrap();
+    assert_eq!(manifest.version, 2);
+    assert_eq!(manifest.cpr_point(1), Some(last_serial));
+    let mut s = kv.start_session(3);
+    assert_eq!(
+        read_now(&mut s, key),
+        Some(10),
+        "s0's update is inside its commit-2 CPR point"
+    );
+}

@@ -13,15 +13,15 @@
 //!
 //! Any I/O failure during capture — including injected faults — aborts
 //! the checkpoint instead of panicking: the uncommitted directory is
-//! discarded, no manifest is written, `committed_version` stays put, and
-//! sessions return to `rest` at `v + 1` so a later commit can succeed.
+//! discarded, no manifest is written, and the shared commit driver
+//! returns sessions to `rest` at `v + 1` without publishing `v`, so a
+//! later commit can succeed.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
-use cpr_core::{CheckpointKind, CheckpointManifest, Phase, SessionCpr};
+use cpr_core::{CheckpointKind, CheckpointManifest, SessionCpr};
 use cpr_storage::CheckpointStore;
 
 use crate::db::DbInner;
@@ -30,54 +30,18 @@ use crate::value::DbValue;
 
 const FLAG_TOMBSTONE: u64 = 1;
 
-/// Capture version `v` and complete the commit (runs on the capture
-/// worker thread).
-pub(crate) fn capture<V: DbValue>(inner: &DbInner<V>, v: u64) {
+/// Capture version `v` (the wait-flush hook; runs on the flush worker).
+/// Returns the manifest's session points, or `None` if the checkpoint
+/// failed and was aborted.
+pub(crate) fn capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<Vec<SessionCpr>> {
     let started = std::time::Instant::now();
     // Drop any abort request left over from a race with the previous
     // capture's completion; the watchdog re-raises if it still wants one.
     inner.capture_abort.store(false, Ordering::Release);
-    let committed = try_capture(inner, v);
-    if committed.is_none() {
-        inner.checkpoint_failures.fetch_add(1, Ordering::AcqRel);
-    }
-
-    // Back to rest at the next version either way; only success publishes
-    // the committed version and the delta base.
-    let ok = inner
-        .state
-        .transition((Phase::WaitFlush, v), (Phase::Rest, v + 1));
-    debug_assert!(ok, "state machine out of sync at capture completion");
-    if let Some((token, sessions)) = &committed {
-        // The manifest's points are now the durable baseline; detached
-        // entries it subsumes can be dropped.
-        {
-            let mut durable = inner.durable_points.lock();
-            for s in sessions {
-                let e = durable.entry(s.guid).or_insert(0);
-                *e = (*e).max(s.cpr_point);
-            }
-        }
-        inner.detached.prune_committed(v);
-        inner.committed_version.store(v, Ordering::Release);
-        *inner.last_capture.lock() = Some(started.elapsed());
-        *inner.last_capture_token.lock() = Some(*token);
-        for cb in inner.commit_callbacks.lock().iter() {
-            cb(v, sessions);
-        }
-    }
-    if inner.opts.metrics.is_enabled() {
-        let out = inner.outcome.lock();
-        inner.opts.metrics.checkpoints.end(
-            v,
-            committed.is_some(),
-            out.attempts as u64,
-            out.proxy_advanced.len() as u64,
-            out.evicted.len() as u64,
-        );
-    }
-    let _g = inner.commit_lock.lock();
-    inner.commit_cv.notify_all();
+    let (token, sessions) = try_capture(inner, v)?;
+    *inner.last_capture.lock() = Some(started.elapsed());
+    *inner.last_capture_token.lock() = Some(token);
+    Some(sessions)
 }
 
 /// The fallible body of capture. Returns the committed token and the
@@ -102,7 +66,7 @@ fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<(u64, Vec<Sessi
 
     let buckets = inner.table.bucket_count();
     let threads = inner.opts.capture_threads.clamp(1, buckets.max(1));
-    let t0 = inner.opts.metrics.is_enabled().then(std::time::Instant::now);
+    let t0 = inner.metrics_on.then(std::time::Instant::now);
     let shards: Vec<Option<(Vec<u8>, u64)>> = if threads == 1 {
         vec![capture_shard(inner, v, base, 0..buckets)]
     } else {
@@ -134,12 +98,11 @@ fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<(u64, Vec<Sessi
     buf[..8].copy_from_slice(&count.to_le_bytes());
     if let Some(t0) = t0 {
         inner
-            .opts
             .metrics
             .record_phase("capture.serialize", threads, t0.elapsed());
     }
 
-    let sessions = session_points(inner, v);
+    let sessions = inner.session_points(v);
     let result = (|| -> io::Result<()> {
         store.write_file(token, "db.dat", &buf)?;
         let mut manifest = CheckpointManifest::new(token, CheckpointKind::Database, v);
@@ -227,31 +190,6 @@ fn capture_shard<V: DbValue>(
     (!aborted).then_some((buf, count))
 }
 
-/// Per-session commit points for the manifest of version `v`: the newest
-/// durable points carried forward, detached sessions' deposited points,
-/// and the live registry snapshot, merged by max. Serials only grow per
-/// guid, so max picks the newest claim each source can justify (and a
-/// session that re-attached mid-checkpoint — registry point still 0 —
-/// keeps the point it deposited when it detached).
-fn session_points<V: DbValue>(inner: &DbInner<V>, v: u64) -> Vec<SessionCpr> {
-    let mut points: HashMap<u64, u64> = inner.durable_points.lock().clone();
-    for (guid, p) in inner
-        .detached
-        .points_for(v)
-        .into_iter()
-        .chain(inner.registry.cpr_points())
-    {
-        let e = points.entry(guid).or_insert(0);
-        *e = (*e).max(p);
-    }
-    let mut out: Vec<SessionCpr> = points
-        .into_iter()
-        .map(|(guid, cpr_point)| SessionCpr { guid, cpr_point })
-        .collect();
-    out.sort_unstable_by_key(|s| s.guid);
-    out
-}
-
 /// Load a checkpoint produced by [`capture`] into a fresh database.
 ///
 /// The record entries are split across `recovery_threads` workers: every
@@ -304,7 +242,7 @@ pub(crate) fn load<V: DbValue>(
     };
 
     let threads = inner.opts.recovery_threads.clamp(1, count.max(1));
-    let t0 = inner.opts.metrics.is_enabled().then(std::time::Instant::now);
+    let t0 = inner.metrics_on.then(std::time::Instant::now);
     let result = if threads == 1 {
         load_range(0, count)
     } else {
@@ -323,7 +261,6 @@ pub(crate) fn load<V: DbValue>(
     };
     if let Some(t0) = t0 {
         inner
-            .opts
             .metrics
             .record_phase("recovery.load", threads, t0.elapsed());
     }

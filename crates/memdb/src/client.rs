@@ -84,7 +84,7 @@ impl<V: DbValue> Session<V> {
         // attach must see the session's true position, not a fresh 0.
         db.registry.set_serial(slot, start_serial);
         let mut guard = db.epoch.register();
-        let clock = db.opts.liveness.as_ref().map(|l| Arc::clone(&l.clock));
+        let clock = db.liveness.as_ref().map(|l| Arc::clone(&l.clock));
         if let Some(c) = &clock {
             // Publish the epoch slot so the watchdog can reclaim it, stamp
             // the lease, and arm the thread-exit sentinel so a dying
@@ -93,8 +93,8 @@ impl<V: DbValue> Session<V> {
             db.registry.heartbeat(slot, c.now());
             guard.arm_exit_sentinel();
         }
-        let metrics = Arc::clone(&db.opts.metrics);
-        let metrics_on = metrics.is_enabled();
+        let metrics = Arc::clone(&db.metrics);
+        let metrics_on = db.metrics_on;
         Session {
             db,
             guard,
@@ -145,12 +145,6 @@ impl<V: DbValue> Session<V> {
     /// Serial number of the last committed transaction.
     pub fn serial(&self) -> u64 {
         self.serial
-    }
-
-    /// Thread-local (phase, version) view.
-    #[deprecated(since = "0.2.0", note = "use `Session::info()` instead")]
-    pub fn view(&self) -> (Phase, u64) {
-        (self.phase, self.version)
     }
 
     /// Snapshot of this session's identity and thread-local state-machine

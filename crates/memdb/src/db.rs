@@ -7,22 +7,16 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use std::collections::HashMap;
-
-use cpr_core::liveness::{CommitOutcome, LivenessConfig, SessionStatus};
-use cpr_core::{
-    CheckpointKind, CheckpointManifest, CheckpointVersion, DetachedSessions, Phase, SessionId,
-    SessionRegistry, SystemState,
-};
-use cpr_epoch::EpochManager;
+use cpr_core::commit::{self, CommitCore, CommitEngine};
+use cpr_core::liveness::{CommitOutcome, LivenessConfig};
+use cpr_core::{CheckpointKind, CheckpointManifest, CheckpointVersion, Phase, SessionCpr};
 use cpr_metrics::{MetricsReport, Registry};
 use cpr_storage::{CheckpointStore, FaultInjector};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::calc::CommitLog;
 use crate::checkpoint;
@@ -48,63 +42,26 @@ pub enum Durability {
     Wal,
 }
 
-/// Database options.
+/// Database options, set through [`MemDbBuilder`]; each field is
+/// documented (with its default) on the builder method of the same name.
 #[derive(Debug, Clone)]
-pub struct MemDbOptions {
+pub(crate) struct MemDbOptions {
     pub durability: Durability,
-    /// Expected number of records (hash-table sizing hint).
     pub capacity: usize,
-    /// Checkpoint / log directory (required unless `Durability::None`).
     pub dir: Option<PathBuf>,
-    /// Maximum concurrently open sessions.
     pub max_sessions: usize,
-    /// Ops between epoch refreshes — the `k` of Alg. 1.
     pub refresh_every: u64,
-    /// Collect the Fig. 10e time breakdown (adds two `Instant` reads per
-    /// transaction segment).
     pub profile: bool,
-    /// WAL ring capacity in bytes (power of two).
     pub wal_capacity: u64,
-    /// WAL group-commit window.
     pub group_commit: Duration,
-    /// CALC commit-log ring capacity (entries).
     pub commit_log_capacity: usize,
-    /// Incremental CPR checkpoints: capture only records modified since
-    /// the previous commit (paper Sec. 4.1's orthogonal optimization;
-    /// recovery applies the delta chain oldest → newest). The first
-    /// commit is always full.
     pub incremental: bool,
-    /// Optional fault injector for crash-recovery testing: applied to
-    /// checkpoint-store writes (CPR/CALC) and WAL flushes.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Session liveness watchdog (CPR/CALC only). When set, sessions carry
-    /// heartbeat leases and a background thread unwedges in-flight commits
-    /// blocked by stragglers: proxy-advancing idle ones, evicting those
-    /// parked mid-transaction, and timing the checkpoint out (abort +
-    /// backoff + retry) when a straggler holds 2PL locks.
-    pub liveness: Option<LivenessConfig>,
-    /// Metrics registry. Defaults to the no-op sink
-    /// ([`cpr_metrics::Registry::noop`]), which keeps the hot paths free
-    /// of timing calls; pass [`cpr_metrics::Registry::new`] to collect.
-    pub metrics: Arc<Registry>,
-    /// Worker threads serializing the stable version during checkpoint
-    /// capture (bucket-sharded; the checkpoint bytes are identical at any
-    /// thread count). Defaults to the `CPR_IO_THREADS` environment
-    /// variable (1 when unset).
     pub capture_threads: usize,
-    /// Worker threads loading checkpoint files during recovery. Defaults
-    /// to the `CPR_IO_THREADS` environment variable (1 when unset). The
-    /// recovered state is identical at any thread count; WAL replay stays
-    /// sequential (its records are order-dependent).
     pub recovery_threads: usize,
 }
 
 impl MemDbOptions {
-    #[deprecated(since = "0.2.0", note = "use `MemDb::builder(durability)` instead")]
-    pub fn new(durability: Durability) -> Self {
-        Self::defaults(durability)
-    }
-
     pub(crate) fn defaults(durability: Durability) -> Self {
         MemDbOptions {
             durability,
@@ -118,60 +75,9 @@ impl MemDbOptions {
             commit_log_capacity: 1 << 20,
             incremental: false,
             fault: None,
-            liveness: None,
-            metrics: Registry::noop(),
             capture_threads: cpr_storage::env_io_threads(),
             recovery_threads: cpr_storage::env_io_threads(),
         }
-    }
-
-    pub fn capacity(mut self, c: usize) -> Self {
-        self.capacity = c;
-        self
-    }
-    pub fn dir(mut self, d: impl Into<PathBuf>) -> Self {
-        self.dir = Some(d.into());
-        self
-    }
-    pub fn max_sessions(mut self, n: usize) -> Self {
-        self.max_sessions = n;
-        self
-    }
-    pub fn refresh_every(mut self, k: u64) -> Self {
-        self.refresh_every = k;
-        self
-    }
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
-        self
-    }
-    pub fn group_commit(mut self, d: Duration) -> Self {
-        self.group_commit = d;
-        self
-    }
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-    pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.fault = Some(injector);
-        self
-    }
-    pub fn liveness(mut self, cfg: LivenessConfig) -> Self {
-        self.liveness = Some(cfg);
-        self
-    }
-    pub fn metrics(mut self, registry: Arc<Registry>) -> Self {
-        self.metrics = registry;
-        self
-    }
-    pub fn capture_threads(mut self, n: usize) -> Self {
-        self.capture_threads = n.max(1);
-        self
-    }
-    pub fn recovery_threads(mut self, n: usize) -> Self {
-        self.recovery_threads = n.max(1);
-        self
     }
 }
 
@@ -195,12 +101,19 @@ impl MemDbOptions {
 /// ```
 pub struct MemDbBuilder<V: DbValue> {
     opts: MemDbOptions,
+    /// Handed to the commit core at open, which owns them from then on.
+    liveness: Option<LivenessConfig>,
+    metrics: Arc<Registry>,
     _marker: std::marker::PhantomData<fn() -> V>,
 }
 
 impl<V: DbValue> std::fmt::Debug for MemDbBuilder<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemDbBuilder").field("opts", &self.opts).finish()
+        f.debug_struct("MemDbBuilder")
+            .field("opts", &self.opts)
+            .field("liveness", &self.liveness)
+            .field("metrics", &self.metrics)
+            .finish()
     }
 }
 
@@ -208,6 +121,8 @@ impl<V: DbValue> Clone for MemDbBuilder<V> {
     fn clone(&self) -> Self {
         MemDbBuilder {
             opts: self.opts.clone(),
+            liveness: self.liveness.clone(),
+            metrics: Arc::clone(&self.metrics),
             _marker: std::marker::PhantomData,
         }
     }
@@ -268,16 +183,17 @@ impl<V: DbValue> MemDbBuilder<V> {
         self.opts.fault = Some(injector);
         self
     }
-    /// Enable the session liveness watchdog (default off).
+    /// Enable the session liveness watchdog for CPR/CALC commits (default
+    /// off; see `cpr_core::commit` for what it does to stragglers).
     pub fn liveness(mut self, cfg: LivenessConfig) -> Self {
-        self.opts.liveness = Some(cfg);
+        self.liveness = Some(cfg);
         self
     }
     /// Metrics registry (default: the no-op sink, which keeps hot paths
     /// free of timing calls). Pass [`cpr_metrics::Registry::new`] to
     /// collect counters, latency histograms, and checkpoint timelines.
     pub fn metrics(mut self, registry: Arc<Registry>) -> Self {
-        self.opts.metrics = registry;
+        self.metrics = registry;
         self
     }
     /// Worker threads for checkpoint capture serialization (default: the
@@ -289,68 +205,74 @@ impl<V: DbValue> MemDbBuilder<V> {
     }
     /// Worker threads for checkpoint load during recovery (default: the
     /// `CPR_IO_THREADS` environment variable, 1 when unset). The
-    /// recovered state is identical at any thread count.
+    /// recovered state is identical at any thread count; WAL replay stays
+    /// sequential (its records are order-dependent).
     pub fn recovery_threads(mut self, n: usize) -> Self {
         self.opts.recovery_threads = n.max(1);
         self
     }
-    /// Escape hatch: the underlying [`MemDbOptions`].
-    pub fn options(self) -> MemDbOptions {
-        self.opts
-    }
     /// Open a fresh database.
     pub fn open(self) -> io::Result<MemDb<V>> {
-        MemDb::open_at_version(self.opts, 1)
+        MemDb::open_at_version(self, 1)
     }
     /// Recover from the newest committed checkpoint (CPR/CALC) or by
     /// replaying the redo log (WAL). Returns the manifest used, if any.
     pub fn recover(self) -> io::Result<(MemDb<V>, Option<CheckpointManifest>)> {
-        MemDb::recover_inner(self.opts)
+        MemDb::recover_inner(self)
     }
 }
 
 pub(crate) struct DbInner<V: DbValue> {
+    /// The commit state machine, session registry and epochs (shared
+    /// with FASTER; see [`cpr_core::commit`]).
+    pub(crate) core: CommitCore<()>,
     pub(crate) opts: MemDbOptions,
     pub(crate) table: Table<V>,
-    pub(crate) state: SystemState,
-    pub(crate) registry: SessionRegistry,
-    pub(crate) epoch: Arc<EpochManager>,
-    /// Highest version whose checkpoint is durable (0 = none).
-    pub(crate) committed_version: AtomicU64,
-    pub(crate) commit_lock: Mutex<()>,
-    pub(crate) commit_cv: Condvar,
     pub(crate) store: Option<CheckpointStore>,
     pub(crate) commit_log: Option<CommitLog>,
     pub(crate) wal: Option<Wal>,
-    capture_tx: Mutex<Option<crossbeam::channel::Sender<u64>>>,
-    capture_thread: Mutex<Option<JoinHandle<()>>>,
-    watchdog_thread: Mutex<Option<JoinHandle<()>>>,
     /// Set by the watchdog to time out a capture stuck behind a straggler's
     /// record latches; the capture pass polls it and takes the abort path.
     pub(crate) capture_abort: AtomicBool,
-    /// Outcome of the in-flight (or most recent) supervised commit.
-    pub(crate) outcome: Mutex<CommitOutcome>,
     pub(crate) merged_stats: Mutex<ClientStats>,
-    /// Checkpoints that failed on I/O and were aborted (no manifest).
-    pub(crate) checkpoint_failures: AtomicU64,
     /// Wall-clock duration of the last completed capture pass.
     pub(crate) last_capture: Mutex<Option<Duration>>,
     /// Token of the most recent Database checkpoint (delta base).
     pub(crate) last_capture_token: Mutex<Option<u64>>,
-    /// Per-guid commit points of the newest durable manifest, seeded from
-    /// the recovery manifest and carried into each new manifest so
-    /// sessions absent at commit time keep their recovery contract.
-    pub(crate) durable_points: Mutex<HashMap<u64, u64>>,
-    /// Commit points (and live-resume serials) of sessions that detached
-    /// since the database opened.
-    pub(crate) detached: DetachedSessions,
-    /// Commit observers: called with (version, CPR points) after every
-    /// durable commit, on the capture thread.
-    pub(crate) commit_callbacks: Mutex<Vec<CommitCallback>>,
 }
 
-/// Commit observer: `(committed version, per-session CPR points)`.
-pub type CommitCallback = Box<dyn Fn(u64, &[cpr_core::SessionCpr]) + Send + Sync>;
+/// The database *is* a commit core plus its tables: sessions reach the
+/// state machine, registry and epochs through this.
+impl<V: DbValue> std::ops::Deref for DbInner<V> {
+    type Target = CommitCore<()>;
+    fn deref(&self) -> &CommitCore<()> {
+        &self.core
+    }
+}
+
+impl<V: DbValue> CommitEngine for DbInner<V> {
+    type Request = ();
+    const PHASES: &'static [Phase] = &[Phase::InProgress, Phase::WaitFlush];
+
+    fn kind(&self, _: ()) -> &'static str {
+        match (self.opts.durability, self.opts.incremental) {
+            (Durability::Cpr, true) => "cpr-incremental",
+            (Durability::Cpr, false) => "cpr",
+            (Durability::Calc, _) => "calc",
+            _ => "wal",
+        }
+    }
+
+    fn flush(&self, v: u64) -> Option<Vec<SessionCpr>> {
+        checkpoint::capture(self, v)
+    }
+
+    fn abort_flush(&self, _v: u64) -> bool {
+        // The capture polls this flag and takes its abort path. `swap`
+        // keeps a still-pending request from being counted twice.
+        !self.capture_abort.swap(true, Ordering::AcqRel)
+    }
+}
 
 /// Handle to a database; cheap to clone.
 pub struct MemDb<V: DbValue> {
@@ -372,21 +294,23 @@ impl<V: DbValue> MemDb<V> {
     pub fn builder(durability: Durability) -> MemDbBuilder<V> {
         MemDbBuilder {
             opts: MemDbOptions::defaults(durability),
+            liveness: None,
+            metrics: Registry::noop(),
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Open a fresh database.
-    #[deprecated(since = "0.2.0", note = "use `MemDb::builder(durability)…open()` instead")]
-    pub fn open(opts: MemDbOptions) -> io::Result<Self> {
-        Self::open_at_version(opts, 1)
-    }
-
-    fn open_at_version(opts: MemDbOptions, version: u64) -> io::Result<Self> {
+    fn open_at_version(builder: MemDbBuilder<V>, version: u64) -> io::Result<Self> {
+        let MemDbBuilder {
+            opts,
+            liveness,
+            metrics,
+            ..
+        } = builder;
         let store = match (&opts.durability, &opts.dir) {
             (Durability::Cpr | Durability::Calc, Some(dir)) => {
                 let store = CheckpointStore::open_with(dir, opts.fault.clone())?;
-                Some(store.with_metrics(Arc::clone(&opts.metrics)))
+                Some(store.with_metrics(Arc::clone(&metrics)))
             }
             (Durability::Cpr | Durability::Calc, None) => {
                 return Err(io::Error::new(
@@ -419,74 +343,25 @@ impl<V: DbValue> MemDb<V> {
             .then(|| CommitLog::new(opts.commit_log_capacity));
 
         let inner = Arc::new(DbInner {
+            core: CommitCore::new(version, opts.max_sessions, liveness, metrics),
             table: Table::new(opts.capacity),
-            state: SystemState::at_version(version),
-            registry: SessionRegistry::new(opts.max_sessions),
-            epoch: Arc::new(EpochManager::new(opts.max_sessions + 8)),
-            committed_version: AtomicU64::new(version.saturating_sub(1)),
-            commit_lock: Mutex::new(()),
-            commit_cv: Condvar::new(),
             store,
             commit_log,
             wal,
-            capture_tx: Mutex::new(None),
-            capture_thread: Mutex::new(None),
-            watchdog_thread: Mutex::new(None),
             capture_abort: AtomicBool::new(false),
-            outcome: Mutex::new(CommitOutcome::default()),
             merged_stats: Mutex::new(ClientStats::default()),
-            checkpoint_failures: AtomicU64::new(0),
             last_capture: Mutex::new(None),
             last_capture_token: Mutex::new(None),
-            durable_points: Mutex::new(HashMap::new()),
-            detached: DetachedSessions::new(),
-            commit_callbacks: Mutex::new(Vec::new()),
             opts,
         });
-
-        if inner.opts.metrics.is_enabled() {
-            inner.epoch.set_metrics(Arc::clone(&inner.opts.metrics));
-        }
-
         if inner.store.is_some() {
-            let (tx, rx) = crossbeam::channel::unbounded::<u64>();
-            // Weak: the capture thread must not keep the database alive.
-            let worker = Arc::downgrade(&inner);
-            let handle = std::thread::Builder::new()
-                .name("cpr-memdb-capture".into())
-                .spawn(move || {
-                    for version in rx {
-                        let Some(inner) = worker.upgrade() else { break };
-                        checkpoint::capture(&inner, version);
-                    }
-                })
-                .expect("spawn capture thread");
-            *inner.capture_tx.lock() = Some(tx);
-            *inner.capture_thread.lock() = Some(handle);
-
-            if let Some(cfg) = inner.opts.liveness.clone() {
-                let weak = Arc::downgrade(&inner);
-                let handle = std::thread::Builder::new()
-                    .name("cpr-memdb-watchdog".into())
-                    .spawn(move || crate::watchdog::run(weak, cfg))
-                    .expect("spawn watchdog thread");
-                *inner.watchdog_thread.lock() = Some(handle);
-            }
+            commit::spawn_workers(&inner, "cpr-memdb");
         }
         Ok(MemDb { inner })
     }
 
-    /// Recover from the newest committed checkpoint (CPR/CALC) or by
-    /// replaying the redo log (WAL). Returns the manifest used, if any.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MemDb::builder(durability)…recover()` instead"
-    )]
-    pub fn recover(opts: MemDbOptions) -> io::Result<(Self, Option<CheckpointManifest>)> {
-        Self::recover_inner(opts)
-    }
-
-    fn recover_inner(opts: MemDbOptions) -> io::Result<(Self, Option<CheckpointManifest>)> {
+    fn recover_inner(builder: MemDbBuilder<V>) -> io::Result<(Self, Option<CheckpointManifest>)> {
+        let opts = &builder.opts;
         match opts.durability {
             Durability::Cpr | Durability::Calc => {
                 let dir = opts.dir.clone().ok_or_else(|| {
@@ -498,7 +373,7 @@ impl<V: DbValue> MemDb<V> {
                 let Some(manifest) =
                     store.latest_matching(|m| m.kind == CheckpointKind::Database)?
                 else {
-                    return Ok((Self::open_at_version(opts, 1)?, None));
+                    return Ok((Self::open_at_version(builder, 1)?, None));
                 };
                 // Collect the delta chain back to its full base, then
                 // apply it oldest → newest.
@@ -506,7 +381,7 @@ impl<V: DbValue> MemDb<V> {
                 while let Some(base) = chain.last().unwrap().base {
                     chain.push(store.manifest(base)?);
                 }
-                let db = Self::open_at_version(opts, manifest.version + 1)?;
+                let db = Self::open_at_version(builder, manifest.version + 1)?;
                 for m in chain.iter().rev() {
                     checkpoint::load(&db.inner, &store, m)?;
                 }
@@ -528,13 +403,13 @@ impl<V: DbValue> MemDb<V> {
                 // Collect existing generations *before* opening (which
                 // creates the next generation's file).
                 let gens = wal_generations(&dir)?;
-                let db = Self::open_at_version(opts, 1)?;
+                let db = Self::open_at_version(builder, 1)?;
                 for gen in gens {
                     checkpoint::replay_wal(&db.inner, &dir.join(format!("wal.{gen}.log")))?;
                 }
                 Ok((db, None))
             }
-            Durability::None => Ok((Self::open_at_version(opts, 1)?, None)),
+            Durability::None => Ok((Self::open_at_version(builder, 1)?, None)),
         }
     }
 
@@ -590,29 +465,25 @@ impl<V: DbValue> MemDb<V> {
     /// from the recovery manifest: every later serial must be re-issued
     /// (the CPR resume contract, paper Sec. 2).
     pub fn continue_session(&self, guid: u64) -> (Session<V>, u64) {
-        let serial = self
-            .inner
-            .detached
-            .last_serial(guid)
-            .or_else(|| self.inner.durable_points.lock().get(&guid).copied())
-            .unwrap_or(0);
+        let serial = self.inner.resume_serial(guid);
         (Session::new(Arc::clone(&self.inner), guid, serial), serial)
     }
 
     /// The guid's durable commit point: the serial below which every op is
     /// guaranteed recovered after a crash right now.
     pub fn durable_point(&self, guid: u64) -> u64 {
-        self.inner.durable_points.lock().get(&guid).copied().unwrap_or(0)
+        self.inner.durable_point(guid)
     }
 
     /// Register a commit observer: called with the committed version and
-    /// every session's CPR point after each durable commit. Runs on the
-    /// capture thread — keep it brief.
+    /// every session's CPR point after each durable commit, before the
+    /// version is published. Runs on the flush worker thread — keep it
+    /// brief.
     pub fn on_commit(
         &self,
         callback: impl Fn(u64, &[cpr_core::SessionCpr]) + Send + Sync + 'static,
     ) {
-        self.inner.commit_callbacks.lock().push(Box::new(callback));
+        self.inner.on_commit(Box::new(callback));
     }
 
     /// Full scan: every live `(key, value)` pair, sorted by key. Takes
@@ -667,23 +538,14 @@ impl<V: DbValue> MemDb<V> {
                 self.inner.commit_cv.notify_all();
                 true
             }
-            Durability::Cpr | Durability::Calc => {
-                if !start_commit(&self.inner) {
-                    return false;
-                }
-                *self.inner.outcome.lock() = CommitOutcome {
-                    attempts: 1,
-                    ..CommitOutcome::default()
-                };
-                true
-            }
+            Durability::Cpr | Durability::Calc => commit::request(&self.inner, ()),
         }
     }
 
     /// Version of the newest durable checkpoint
     /// ([`CheckpointVersion::NONE`] = none yet).
     pub fn committed_version(&self) -> CheckpointVersion {
-        CheckpointVersion(self.inner.committed_version.load(Ordering::Acquire))
+        self.inner.core.committed_version()
     }
 
     /// Number of checkpoint attempts that failed on I/O and were aborted
@@ -701,20 +563,7 @@ impl<V: DbValue> MemDb<V> {
     /// worker sessions to keep refreshing (or none to be registered).
     /// Returns `false` on timeout.
     pub fn wait_for_version(&self, version: impl Into<CheckpointVersion>, timeout: Duration) -> bool {
-        let version = version.into();
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.commit_lock.lock();
-        while self.committed_version() < version {
-            // Nudge the drain list in case no session is refreshing.
-            self.inner.epoch.try_drain();
-            if Instant::now() >= deadline {
-                return false;
-            }
-            self.inner
-                .commit_cv
-                .wait_for(&mut g, Duration::from_millis(1));
-        }
-        true
+        self.inner.wait_for_version(version.into(), timeout)
     }
 
     /// Request a commit and wait for its outcome.
@@ -740,63 +589,21 @@ impl<V: DbValue> MemDb<V> {
         if !self.request_commit() {
             return Err(CommitError::NotStarted);
         }
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.commit_lock.lock();
-        loop {
-            if self.committed_version() >= v {
-                let mut out = self.inner.outcome.lock();
-                out.committed_version = Some(self.committed_version());
-                return Ok(out.clone());
-            }
-            let gave_up = self.inner.outcome.lock().gave_up;
-            if gave_up || Instant::now() >= deadline {
-                let (phase, _) = self.inner.state.load();
-                return Err(CommitError::TimedOut {
-                    version: v.into(),
-                    phase,
-                    blockers: self.straggler_guids(),
-                });
-            }
-            // Nudge the drain list in case no session is refreshing.
-            self.inner.epoch.try_drain();
-            self.inner
-                .commit_cv
-                .wait_for(&mut g, Duration::from_millis(1));
+        if !self.inner.wait_for_commit(v.into(), timeout) {
+            return Err(CommitError::TimedOut {
+                version: v.into(),
+                phase: self.inner.state.phase(),
+                blockers: self.inner.stragglers(),
+            });
         }
+        let mut out = self.inner.outcome.lock();
+        out.committed_version = Some(self.committed_version());
+        Ok(out.clone())
     }
 
     /// Outcome of the in-flight (or most recent) supervised commit.
     pub fn last_commit_outcome(&self) -> CommitOutcome {
         self.inner.outcome.lock().clone()
-    }
-
-    /// The sessions currently holding a commit back: phase blockers while
-    /// sessions gate the transition, expired leases otherwise (capture
-    /// wedged behind a straggler's latches, or the watchdog gave up).
-    fn straggler_guids(&self) -> Vec<SessionId> {
-        let (phase, v) = self.inner.state.load();
-        if matches!(phase, Phase::Prepare | Phase::InProgress) {
-            return self
-                .inner
-                .registry
-                .blockers(phase, v)
-                .into_iter()
-                .map(|(_, guid)| guid)
-                .collect();
-        }
-        let Some(cfg) = &self.inner.opts.liveness else {
-            return Vec::new();
-        };
-        let now = cfg.clock.now();
-        let reg = &self.inner.registry;
-        (0..reg.capacity())
-            .filter_map(|i| {
-                let guid = reg.guid(i)?;
-                (now.saturating_sub(reg.last_heartbeat(i)) > cfg.grace_ticks
-                    && reg.status(i) != SessionStatus::Evicted)
-                    .then_some(guid)
-            })
-            .collect()
     }
 
     /// Aggregated statistics from dropped sessions.
@@ -822,98 +629,11 @@ impl<V: DbValue> MemDb<V> {
     /// [`cpr_metrics::Registry`]; with the default no-op sink the report
     /// is empty and flagged `enabled: false`.
     pub fn metrics_snapshot(&self) -> MetricsReport {
-        let mut report = self.inner.opts.metrics.snapshot();
+        let mut report = self.inner.metrics.snapshot();
         if let Some(injector) = &self.inner.opts.fault {
             report.storage.faults_injected = injector.fault_hits();
         }
         report
-    }
-}
-
-/// Checkpoint-kind label used by the metrics phase tracer.
-pub(crate) fn ckpt_kind_label<V: DbValue>(inner: &DbInner<V>) -> &'static str {
-    match (inner.opts.durability, inner.opts.incremental) {
-        (Durability::Cpr, true) => "cpr-incremental",
-        (Durability::Cpr, false) => "cpr",
-        (Durability::Calc, _) => "calc",
-        _ => "wal",
-    }
-}
-
-/// Kick off the CPR/CALC commit state machine at the current version.
-/// Shared by [`MemDb::request_commit`] and the watchdog's retries.
-pub(crate) fn start_commit<V: DbValue>(inner: &Arc<DbInner<V>>) -> bool {
-    let v = inner.state.version();
-    if !inner.state.transition((Phase::Rest, v), (Phase::Prepare, v)) {
-        return false;
-    }
-    let metrics_on = inner.opts.metrics.is_enabled();
-    if metrics_on {
-        inner.opts.metrics.checkpoints.begin(v, ckpt_kind_label(inner));
-    }
-    let cond = {
-        let inner = Arc::clone(inner);
-        move || {
-            let ready = inner.registry.all_at_least(Phase::Prepare, v);
-            if !ready && metrics_on {
-                if let Some((_, guid)) = inner.registry.first_blocker(Phase::Prepare, v) {
-                    inner.opts.metrics.checkpoints.note_blocker(guid);
-                }
-            }
-            ready
-        }
-    };
-    let action = {
-        let inner = Arc::clone(inner);
-        move || prepare_to_inprog(inner, v)
-    };
-    inner
-        .epoch
-        .bump_epoch(Some(Box::new(cond)), Box::new(action));
-    true
-}
-
-fn prepare_to_inprog<V: DbValue>(inner: Arc<DbInner<V>>, v: u64) {
-    // A failed transition means the watchdog timed this checkpoint out
-    // (aborted to rest at v + 1) before the trigger fired: stand down and
-    // let the retry start a fresh state machine.
-    if !inner
-        .state
-        .transition((Phase::Prepare, v), (Phase::InProgress, v))
-    {
-        return;
-    }
-    let metrics_on = inner.opts.metrics.is_enabled();
-    if metrics_on {
-        inner.opts.metrics.checkpoints.mark(v, "in-progress");
-    }
-    let epoch = Arc::clone(&inner.epoch);
-    let cond_inner = Arc::clone(&inner);
-    let cond = move || {
-        let ready = cond_inner.registry.all_at_least(Phase::InProgress, v);
-        if !ready && metrics_on {
-            if let Some((_, guid)) = cond_inner.registry.first_blocker(Phase::InProgress, v) {
-                cond_inner.opts.metrics.checkpoints.note_blocker(guid);
-            }
-        }
-        ready
-    };
-    let action = move || inprog_to_waitflush(inner, v);
-    epoch.bump_epoch(Some(Box::new(cond)), Box::new(action));
-}
-
-fn inprog_to_waitflush<V: DbValue>(inner: Arc<DbInner<V>>, v: u64) {
-    if !inner
-        .state
-        .transition((Phase::InProgress, v), (Phase::WaitFlush, v))
-    {
-        return; // checkpoint aborted by the watchdog
-    }
-    if inner.opts.metrics.is_enabled() {
-        inner.opts.metrics.checkpoints.mark(v, "wait-flush");
-    }
-    if let Some(tx) = inner.capture_tx.lock().as_ref() {
-        tx.send(v).expect("capture thread alive");
     }
 }
 
@@ -940,20 +660,4 @@ fn wal_generations(dir: &std::path::Path) -> io::Result<Vec<u64>> {
 
 fn next_wal_generation(dir: &std::path::Path) -> io::Result<u64> {
     Ok(wal_generations(dir)?.last().map_or(0, |g| g + 1))
-}
-
-impl<V: DbValue> Drop for DbInner<V> {
-    fn drop(&mut self) {
-        // Close the capture channel, then join the workers.
-        self.capture_tx.lock().take();
-        for slot in [&self.capture_thread, &self.watchdog_thread] {
-            if let Some(h) = slot.lock().take() {
-                // The final Arc may be dropped *by a worker itself* (each
-                // upgrades its Weak per job); never join our own thread.
-                if h.thread().id() != std::thread::current().id() {
-                    let _ = h.join();
-                }
-            }
-        }
-    }
 }

@@ -248,6 +248,35 @@ fn commit_with_no_sessions_completes() {
     assert_eq!(db2.read(2), Some(22));
 }
 
+/// Commit observers run before the version is published: once
+/// `wait_for_version(v)` returns, every observer has seen `v`, even a
+/// slow one.
+#[test]
+fn commit_observers_run_before_version_is_published() {
+    use std::sync::atomic::AtomicU64;
+
+    let dir = tempfile::tempdir().unwrap();
+    let db: MemDb<u64> = MemDb::builder(Durability::Cpr)
+        .dir(dir.path())
+        .capacity(64)
+        .open()
+        .unwrap();
+    let seen = Arc::new(AtomicU64::new(0));
+    let observer_seen = Arc::clone(&seen);
+    db.on_commit(move |version, _points| {
+        std::thread::sleep(Duration::from_millis(20));
+        observer_seen.store(version, Ordering::SeqCst);
+    });
+    db.load(1, 11);
+    assert!(db.request_commit());
+    assert!(db.wait_for_version(1, Duration::from_secs(10)));
+    assert_eq!(
+        seen.load(Ordering::SeqCst),
+        1,
+        "observer ran before publish"
+    );
+}
+
 /// Keys first written *after* a session's CPR point must be absent from
 /// the recovered state (insert case: no pre-load).
 #[test]

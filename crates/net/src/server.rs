@@ -43,7 +43,14 @@ const HELLO_DEADLINE: Duration = Duration::from_secs(10);
 /// Scan results are streamed in chunks of this many entries.
 const SCAN_CHUNK: usize = 64 * 1024;
 
-type Conns = Arc<Mutex<HashMap<u64, Sender<Frame>>>>;
+/// A registered connection: its outbound channel, and a handle on its
+/// socket so a reconnecting guid can tell whether the old peer is gone.
+struct Conn {
+    tx: Sender<Frame>,
+    peer: TcpStream,
+}
+
+type Conns = Arc<Mutex<HashMap<u64, Conn>>>;
 
 /// A running server; dropping it (or calling [`NetServer::shutdown`])
 /// stops the accept loop and disconnects every client.
@@ -72,8 +79,8 @@ impl NetServer {
             engine.on_commit(Box::new(move |version, sessions| {
                 let conns = conns.lock();
                 for s in sessions {
-                    if let Some(tx) = conns.get(&s.guid) {
-                        let _ = tx.send(Frame::CommitPoint(CommitPoint::prefix(
+                    if let Some(conn) = conns.get(&s.guid) {
+                        let _ = conn.tx.send(Frame::CommitPoint(CommitPoint::prefix(
                             version,
                             s.cpr_point,
                         )));
@@ -184,12 +191,28 @@ impl<E: NetEngine> Connection<E> {
             }
         };
 
-        // One connection per guid: a session is single-threaded state.
+        // One connection per guid: a session is single-threaded state. A
+        // client that closed its socket and reconnected at once may find
+        // its old connection still registered: that connection notices
+        // EOF only at its next poll. Wait for it to release the guid; a
+        // duplicate whose peer is still open is refused.
         let (tx, rx) = unbounded::<Frame>();
-        {
-            let mut map = conns.lock();
-            if map.contains_key(&guid) {
-                drop(map);
+        loop {
+            let old_peer = {
+                let mut map = conns.lock();
+                match map.get(&guid) {
+                    None => {
+                        let conn = Conn {
+                            tx: tx.clone(),
+                            peer: stream.try_clone()?,
+                        };
+                        map.insert(guid, conn);
+                        break;
+                    }
+                    Some(old) => old.peer.try_clone()?,
+                }
+            };
+            if !peer_closed(&old_peer) || Instant::now() > deadline {
                 send_now(
                     &mut stream,
                     &Frame::Error {
@@ -199,7 +222,7 @@ impl<E: NetEngine> Connection<E> {
                 );
                 return Ok(());
             }
-            map.insert(guid, tx.clone());
+            std::thread::sleep(Duration::from_millis(1));
         }
 
         // Writer thread: owns the write half, drains the channel.
@@ -224,10 +247,13 @@ impl<E: NetEngine> Connection<E> {
 
         let result = conn.serve_loop(&engine, &mut stream, &mut reader, &stop);
 
-        conns.lock().remove(&guid);
-        // Dropping the sender (and the conns entry) closes the channel;
-        // the writer flushes what's queued and exits.
+        // Drop the session before releasing the guid: the session's drop
+        // records its last accepted serial for a live reattach, so a
+        // reconnect must not find the guid free before that. Removing the
+        // conns entry then drops the last sender; the writer flushes
+        // what's queued and exits.
         drop(conn);
+        conns.lock().remove(&guid);
         let _ = writer.join();
         result
     }
@@ -356,6 +382,21 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Frame>) {
         }
     }
     let _ = stream.flush();
+}
+
+/// Whether the peer of a registered connection has closed, or may have:
+/// a peek sees EOF, an error, or bytes its reader has yet to consume
+/// (such as a final Goodbye). Blocks at most the socket's read timeout
+/// (`POLL`). A live, quiet peer times the peek out.
+fn peer_closed(peer: &TcpStream) -> bool {
+    let mut byte = [0u8; 1];
+    match peer.peek(&mut byte) {
+        Ok(_) => true,
+        Err(e) => !matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+        ),
+    }
 }
 
 fn send_now(stream: &mut TcpStream, frame: &Frame) {

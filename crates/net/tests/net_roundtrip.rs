@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use cpr_faster::{FasterBuilder, HlogConfig};
 use cpr_memdb::{Durability, MemDb};
-use cpr_net::wire::checkpoint_variant;
-use cpr_net::{NetClient, NetEngine, NetServer, OpKind, OpStatus};
+use cpr_net::wire::{checkpoint_variant, OpReply, WireOp};
+use cpr_net::{NetClient, NetEngine, NetServer, NetSession, OpKind, OpStatus};
 
 fn serve<E: NetEngine>(engine: Arc<E>) -> NetServer {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -150,6 +150,70 @@ fn faster_live_reconnect() {
 fn memdb_live_reconnect() {
     let dir = tempfile::tempdir().unwrap();
     live_reconnect_is_lossless(memdb_engine(dir.path()));
+}
+
+/// Wraps an engine so that dropping a session takes a while, as a FASTER
+/// session does while it drains pending ops: a reconnect lands while the
+/// old connection is still tearing its session down.
+struct SlowSessionDrop<E>(Arc<E>);
+
+struct SlowDropSession<S>(S);
+
+impl<S> Drop for SlowDropSession<S> {
+    fn drop(&mut self) {
+        std::thread::sleep(Duration::from_millis(200));
+    }
+}
+
+impl<S: NetSession> NetSession for SlowDropSession<S> {
+    fn apply_batch(&mut self, ops: &[WireOp]) -> Vec<OpReply> {
+        self.0.apply_batch(ops)
+    }
+
+    fn refresh(&mut self) {
+        self.0.refresh()
+    }
+
+    fn serial(&self) -> u64 {
+        self.0.serial()
+    }
+}
+
+impl<E: NetEngine> NetEngine for SlowSessionDrop<E> {
+    type Session = SlowDropSession<E::Session>;
+
+    fn continue_session(&self, guid: u64) -> (Self::Session, u64) {
+        let (session, serial) = self.0.continue_session(guid);
+        (SlowDropSession(session), serial)
+    }
+
+    fn request_checkpoint(&self, variant: u8, log_only: bool) -> bool {
+        self.0.request_checkpoint(variant, log_only)
+    }
+
+    fn on_commit(&self, cb: cpr_net::engine::CommitObserver) {
+        self.0.on_commit(cb)
+    }
+
+    fn committed_version(&self) -> u64 {
+        self.0.committed_version()
+    }
+
+    fn scan(&self) -> std::io::Result<Vec<(u64, u64)>> {
+        self.0.scan()
+    }
+}
+
+#[test]
+fn faster_live_reconnect_during_slow_session_drop() {
+    let dir = tempfile::tempdir().unwrap();
+    live_reconnect_is_lossless(Arc::new(SlowSessionDrop(faster_engine(dir.path()))));
+}
+
+#[test]
+fn memdb_live_reconnect_during_slow_session_drop() {
+    let dir = tempfile::tempdir().unwrap();
+    live_reconnect_is_lossless(Arc::new(SlowSessionDrop(memdb_engine(dir.path()))));
 }
 
 #[test]
