@@ -16,11 +16,11 @@ use std::time::{Duration, Instant};
 use cpr_faster::{
     CheckpointVariant, FasterBuilder, HlogConfig, LivenessConfig, ReadResult, Status,
 };
+use cpr_metrics::LatencyHistogram;
 use cpr_workload::keys::KeyDist;
 use cpr_workload::ycsb::{OpKind, YcsbConfig, YcsbGenerator};
 
 use crate::args::Args;
-use crate::hist::Histogram;
 use crate::report::Report;
 
 pub fn stragglers(args: &Args) {
@@ -124,7 +124,7 @@ fn run(
         .collect();
 
     // Commit loop: back-to-back fold-over commits, each latency sampled.
-    let hist = Histogram::new();
+    let hist = LatencyHistogram::new();
     let started = Instant::now();
     let mut ckpts = 0u64;
     let mut aborted = 0u64;
@@ -148,7 +148,7 @@ fn run(
             std::thread::sleep(Duration::from_micros(200));
         }
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        hist.record(t0.elapsed().as_nanos() as u64);
+        hist.record(t0.elapsed());
         max_ms = max_ms.max(ms);
         let out = kv.last_commit_outcome();
         ckpts += 1;
@@ -162,12 +162,13 @@ fn run(
     for w in workers {
         w.join().unwrap();
     }
+    let lat = hist.snapshot();
     vec![
         if watchdog { "on" } else { "off" }.into(),
         ckpts.to_string(),
         aborted.to_string(),
-        format!("{:.2}", hist.quantile(0.50) as f64 / 1e6),
-        format!("{:.2}", hist.quantile(0.99) as f64 / 1e6),
+        format!("{:.2}", lat.p50_ns as f64 / 1e6),
+        format!("{:.2}", lat.p99_ns as f64 / 1e6),
         format!("{max_ms:.2}"),
         format!(
             "{:.3}",

@@ -6,10 +6,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cpr_faster::{CheckpointVariant, FasterKv, FasterBuilder, HlogConfig, Status, VersionGrain};
+use cpr_metrics::LatencyHistogram;
 use cpr_workload::keys::KeyDist;
 use cpr_workload::ycsb::{OpKind, YcsbConfig, YcsbGenerator};
 
-use crate::hist::Histogram;
 
 #[derive(Clone, Debug)]
 pub struct FasterRunConfig {
@@ -121,7 +121,7 @@ pub fn run_faster(cfg: &FasterRunConfig) -> FasterRunResult {
         Arc::new((0..cfg.threads).map(|_| AtomicU64::new(0)).collect());
     let lat_sum_ns = Arc::new(AtomicU64::new(0));
     let lat_count = Arc::new(AtomicU64::new(0));
-    let lat_hist = Arc::new(Histogram::new());
+    let lat_hist = Arc::new(LatencyHistogram::new());
 
     let workers: Vec<_> = (0..cfg.threads)
         .map(|t| {
@@ -156,7 +156,7 @@ pub fn run_faster(cfg: &FasterRunConfig) -> FasterRunResult {
                         let ns = t0.elapsed().as_nanos() as u64;
                         lat_sum.fetch_add(ns, Ordering::Relaxed);
                         lat_cnt.fetch_add(1, Ordering::Relaxed);
-                        lat_hist.record(ns);
+                        lat_hist.record_ns(ns);
                     }
                     n += 1;
                     op_counts[t].fetch_add(1, Ordering::Relaxed);
@@ -218,6 +218,7 @@ pub fn run_faster(cfg: &FasterRunConfig) -> FasterRunResult {
     }
     let elapsed = started.elapsed().as_secs_f64();
     let ops: u64 = op_counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+    let lat = lat_hist.snapshot();
     FasterRunResult {
         ops,
         elapsed,
@@ -229,9 +230,9 @@ pub fn run_faster(cfg: &FasterRunConfig) -> FasterRunResult {
             .pop()
             .map(|tl| tl.phases)
             .unwrap_or_default(),
-        lat_p50_us: lat_hist.quantile(0.50) as f64 / 1000.0,
-        lat_p95_us: lat_hist.quantile(0.95) as f64 / 1000.0,
-        lat_p99_us: lat_hist.quantile(0.99) as f64 / 1000.0,
+        lat_p50_us: lat.p50_ns as f64 / 1000.0,
+        lat_p95_us: lat.p95_ns as f64 / 1000.0,
+        lat_p99_us: lat.p99_ns as f64 / 1000.0,
     }
 }
 

@@ -11,7 +11,6 @@
 mod args;
 mod experiments;
 mod faster_run;
-mod hist;
 mod memdb_run;
 mod report;
 

@@ -15,6 +15,9 @@
 //! * [`SessionRegistry`] — per-session published state used both for the
 //!   "all sessions have entered phase P" trigger conditions and for
 //!   recording per-session CPR points;
+//! * [`SessionCore`] — the session side of the protocol: local view,
+//!   refresh, CPR-point crossing ([`crossed_cpr_point`]), durable serial,
+//!   and the operation entry protocol against the watchdog;
 //! * [`manifest`] — durable checkpoint metadata;
 //! * [`commit`] — the commit driver both engines run: [`CommitCore`]
 //!   holds the shared commit state, [`CommitEngine`] is what an engine
@@ -26,6 +29,7 @@ pub mod liveness;
 pub mod manifest;
 mod phase;
 pub mod resume;
+mod session;
 mod sessions;
 mod state;
 pub mod sync;
@@ -40,6 +44,7 @@ pub use liveness::{
 pub use manifest::{CheckpointKind, CheckpointManifest, SessionCpr};
 pub use phase::Phase;
 pub use resume::{CommitPoint, DetachedSessions};
+pub use session::{crossed_cpr_point, Ownership, SessionCore};
 pub use sessions::{SessionId, SessionInfo, SessionRegistry, SessionSlot};
 pub use state::SystemState;
 pub use sync::NoWaitLock;

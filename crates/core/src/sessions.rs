@@ -165,7 +165,8 @@ impl SessionRegistry {
     }
 
     /// Mark the session's CPR point at its current serial number and return
-    /// it. Called exactly when the session transitions prepare→in-progress.
+    /// it. Called exactly when the session's view crosses a CPR point
+    /// ([`crate::crossed_cpr_point`]).
     pub fn mark_cpr_point(&self, idx: usize) -> u64 {
         let s = self.serial(idx);
         self.slots[idx].cpr_point.store(s, Ordering::Release);
@@ -332,7 +333,7 @@ impl SessionRegistry {
 
     /// Watchdog: publish `(phase, version)` on behalf of a *suspended*
     /// session, optionally marking its CPR point at its last accepted
-    /// serial (the prepare → in-progress crossing). Returns the CPR point
+    /// serial (when the publish crosses a CPR point). Returns the CPR point
     /// marked, if any. The caller must hold the Suspended (or Evicted)
     /// status — the owner cannot race this publish because it reactivates
     /// only after refreshing to at least this state.
@@ -350,45 +351,40 @@ impl SessionRegistry {
     }
 
     /// Occupied, non-evicted slots that have **not** reached
-    /// `(phase, version)` — the sessions holding the commit back.
-    pub fn blockers(&self, phase: Phase, version: u64) -> Vec<(usize, SessionId)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let owner = s.owner.load(Ordering::Acquire);
-                if owner == 0 {
-                    return None;
-                }
-                if SessionStatus::from_u64(s.status.load(Ordering::SeqCst))
-                    == SessionStatus::Evicted
-                {
-                    return None;
-                }
-                let (p, v) = unpack(s.state.load(Ordering::Acquire));
-                let reached = v > version || (v == version && p >= phase);
-                (!reached).then_some((i, owner - 1))
-            })
-            .collect()
-    }
-
-    /// First occupied, non-evicted slot that has **not** reached
-    /// `(phase, version)`, as `(slot, guid)` — an allocation-free sample
-    /// for metrics ("which session is holding this transition back right
-    /// now"). Use [`SessionRegistry::blockers`] for the complete list.
-    pub fn first_blocker(&self, phase: Phase, version: u64) -> Option<(usize, SessionId)> {
-        self.slots.iter().enumerate().find_map(|(i, s)| {
+    /// `(phase, version)`, as `(slot, guid)` — the sessions holding the
+    /// commit back. A view reaches it with a strictly larger version, or
+    /// the same version and a phase at least `phase`. Evicted sessions
+    /// are skipped: their dead thread will never refresh, and their
+    /// committed prefix is already fixed at their (rolled-back) CPR point.
+    fn holding_back(
+        &self,
+        phase: Phase,
+        version: u64,
+    ) -> impl Iterator<Item = (usize, SessionId)> + '_ {
+        self.slots.iter().enumerate().filter_map(move |(i, s)| {
             let owner = s.owner.load(Ordering::Acquire);
-            if owner == 0 {
-                return None;
-            }
-            if SessionStatus::from_u64(s.status.load(Ordering::SeqCst)) == SessionStatus::Evicted {
+            if owner == 0
+                || SessionStatus::from_u64(s.status.load(Ordering::SeqCst))
+                    == SessionStatus::Evicted
+            {
                 return None;
             }
             let (p, v) = unpack(s.state.load(Ordering::Acquire));
-            let reached = v > version || (v == version && p >= phase);
-            (!reached).then_some((i, owner - 1))
+            ((v, p) < (version, phase)).then_some((i, owner - 1))
         })
+    }
+
+    /// Every session holding `(phase, version)` back (see
+    /// [`SessionRegistry::all_at_least`]).
+    pub fn blockers(&self, phase: Phase, version: u64) -> Vec<(usize, SessionId)> {
+        self.holding_back(phase, version).collect()
+    }
+
+    /// The first session holding `(phase, version)` back — an
+    /// allocation-free sample for metrics ("which session is holding this
+    /// transition back right now").
+    pub fn first_blocker(&self, phase: Phase, version: u64) -> Option<(usize, SessionId)> {
+        self.holding_back(phase, version).next()
     }
 
     /// Guid owning slot `idx`, if any.
@@ -407,24 +403,11 @@ impl SessionRegistry {
             .count()
     }
 
-    /// True iff every occupied slot has reached `(phase, version)` or
-    /// beyond — the trigger condition used by the commit state machines.
-    ///
-    /// "Beyond" means a strictly larger version, or the same version with a
-    /// phase at least `phase`. Evicted sessions are skipped: their dead
-    /// thread will never refresh, and their committed prefix is already
-    /// fixed at their (rolled-back) CPR point.
+    /// True iff every occupied, non-evicted slot has reached
+    /// `(phase, version)` or beyond — the trigger condition used by the
+    /// commit state machines.
     pub fn all_at_least(&self, phase: Phase, version: u64) -> bool {
-        self.slots.iter().all(|s| {
-            if s.owner.load(Ordering::Acquire) == 0 {
-                return true;
-            }
-            if SessionStatus::from_u64(s.status.load(Ordering::SeqCst)) == SessionStatus::Evicted {
-                return true;
-            }
-            let (p, v) = unpack(s.state.load(Ordering::Acquire));
-            v > version || (v == version && p >= phase)
-        })
+        self.holding_back(phase, version).next().is_none()
     }
 
     /// Snapshot of (guid, cpr_point) for every occupied slot — the

@@ -54,7 +54,7 @@ use std::sync::{Arc, Weak};
 
 use crate::commit::{gated_by_sessions, start, CommitCore, CommitEngine};
 use crate::liveness::{BusyState, LivenessConfig, SessionStatus};
-use crate::Phase;
+use crate::{crossed_cpr_point, Phase};
 
 pub(crate) fn run<E: CommitEngine>(weak: Weak<E>, cfg: LivenessConfig) {
     let mut rng = cfg.seed | 1;
@@ -160,11 +160,9 @@ fn proxy_advance<E: CommitEngine>(engine: &E, idx: usize, guid: u64, v: u64) {
     let (phase, cur_v) = core.state.load();
     if cur_v == v && gated_by_sessions(phase) {
         let (ps, vs) = reg.view(idx);
-        let reached = vs > v || (vs == v && ps >= phase);
-        if !reached {
-            // Mark the CPR point iff this publish crosses the session
-            // over prepare → in-progress for version v.
-            let mark = phase >= Phase::InProgress && (vs < v || ps <= Phase::Prepare);
+        if (vs, ps) < (v, phase) {
+            // Mark the CPR point iff this publish crosses one.
+            let mark = crossed_cpr_point((ps, vs), (phase, v)).is_some();
             reg.proxy_advance(idx, phase, v, mark);
             let mut out = core.outcome.lock();
             if !out.proxy_advanced.contains(&guid) {
@@ -188,7 +186,8 @@ fn evict<E: CommitEngine>(engine: &E, idx: usize, guid: u64, v: u64) {
     // every completed operation is a version-v (or older) write that the
     // flush will persist.
     let (ps, vs) = reg.view(idx);
-    let crossed = vs > v || (vs == v && ps >= Phase::InProgress);
+    // Crossed: stepping into in-progress of v would cross no new point.
+    let crossed = crossed_cpr_point((ps, vs), (Phase::InProgress, v)).is_none();
     let base = if crossed {
         reg.cpr_point(idx)
     } else {

@@ -8,13 +8,12 @@
 //! hand-off conflicts) go *pending* and are retried by
 //! [`FasterSession::complete_pending`].
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cpr_core::liveness::{BusyState, Clock, SessionStatus};
-use cpr_core::{CheckpointVersion, Phase, Pod, SessionInfo};
+use cpr_core::liveness::BusyState;
+use cpr_core::{Ownership, Phase, Pod, SessionCore, SessionInfo};
 
 use crate::addr::{Address, INVALID_ADDRESS};
 use crate::header::{version13, Header};
@@ -125,23 +124,12 @@ enum Outcome<V> {
 /// A client session. Not `Sync`: owned by one thread, as in the paper.
 pub struct FasterSession<V: Pod> {
     store: Arc<StoreInner<V>>,
-    guard: cpr_epoch::Guard,
-    slot_idx: usize,
-    guid: u64,
-    phase: Phase,
-    version: u64,
-    serial: u64,
-    ops_since_refresh: u64,
+    /// The shared session protocol; its serial counts *accepted* ops.
+    core: SessionCore,
     pending: Vec<Pending<V>>,
     completions: Vec<Completion<V>>,
-    pending_points: VecDeque<(u64, u64)>,
-    durable_serial: u64,
     scratch: Vec<u64>,
     scratch2: Vec<u64>,
-    /// Lease clock, present iff the store runs a liveness watchdog.
-    clock: Option<Arc<dyn Clock>>,
-    /// Cached "this session has been evicted" flag (set once, sticky).
-    evicted: bool,
     /// Test hook: runs right after the session enters an operation
     /// (busy = in-txn, before the op touches the log).
     pause_in_op: Option<Box<dyn FnMut() + Send>>,
@@ -150,37 +138,19 @@ pub struct FasterSession<V: Pod> {
 
 impl<V: Pod> FasterSession<V> {
     pub(crate) fn new(store: Arc<StoreInner<V>>, guid: u64, start_serial: u64) -> Self {
-        let (phase, version) = store.state.load();
-        let slot_idx = store.registry.acquire(guid, phase, version);
-        store.registry.set_serial(slot_idx, start_serial);
-        let mut guard = store.epoch.register();
-        let clock = store.liveness.as_ref().map(|l| Arc::clone(&l.clock));
-        if let Some(c) = &clock {
-            // Publish the epoch slot so the watchdog can reclaim it, stamp
-            // the lease, arm the thread-exit sentinel, and clear any
-            // offline-pending leftovers from a prior tenant of this slot.
-            store.registry.set_epoch_slot(slot_idx, guard.slot());
-            store.registry.heartbeat(slot_idx, c.now());
-            guard.arm_exit_sentinel();
-            store.offline_pending.lock().remove(&slot_idx);
+        let core = SessionCore::attach(&store, guid, start_serial, store.refresh_every);
+        if core.is_live() {
+            // Clear any offline-pending leftovers from a prior tenant of
+            // this slot.
+            store.offline_pending.lock().remove(&core.slot());
         }
         FasterSession {
             store,
-            guard,
-            slot_idx,
-            guid,
-            phase,
-            version,
-            serial: start_serial,
-            ops_since_refresh: 0,
+            core,
             pending: Vec::new(),
             completions: Vec::new(),
-            pending_points: VecDeque::new(),
-            durable_serial: start_serial,
             scratch: Vec::new(),
             scratch2: Vec::new(),
-            clock,
-            evicted: false,
             pause_in_op: None,
             stats: SessionStats::default(),
         }
@@ -195,29 +165,22 @@ impl<V: Pod> FasterSession<V> {
 
     /// True once the watchdog has evicted this session.
     pub fn is_evicted(&self) -> bool {
-        self.evicted
-            || (self.clock.is_some()
-                && self.store.registry.status(self.slot_idx) == SessionStatus::Evicted)
+        self.core.is_evicted(&self.store)
     }
 
     pub fn guid(&self) -> u64 {
-        self.guid
+        self.core.guid()
     }
 
     /// Serial of the most recently accepted operation.
     pub fn serial(&self) -> u64 {
-        self.serial
+        self.core.serial()
     }
 
     /// Structured snapshot of the session's identity and thread-local
     /// CPR state.
     pub fn info(&self) -> SessionInfo {
-        SessionInfo {
-            guid: self.guid,
-            serial: self.serial,
-            phase: self.phase,
-            version: CheckpointVersion::from(self.version),
-        }
+        self.core.info()
     }
 
     /// Number of operations awaiting completion.
@@ -228,16 +191,7 @@ impl<V: Pod> FasterSession<V> {
     /// Largest serial known durable: every op with serial ≤ this survives
     /// a crash (the session's committed CPR prefix).
     pub fn durable_serial(&mut self) -> u64 {
-        let cv = self.store.committed_version.load(Ordering::Acquire);
-        while let Some(&(v, s)) = self.pending_points.front() {
-            if v <= cv {
-                self.durable_serial = self.durable_serial.max(s);
-                self.pending_points.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.durable_serial
+        self.core.durable_serial(&self.store)
     }
 
     /// Move completed formerly-pending results into `out`.
@@ -246,42 +200,16 @@ impl<V: Pod> FasterSession<V> {
     }
 
     /// Publish the local epoch, adopt global state changes (marking the
-    /// CPR point on the prepare → in-progress crossing), and retry
-    /// pending operations.
+    /// CPR point on crossing one), and retry pending operations.
     pub fn refresh(&mut self) {
-        self.guard.refresh();
-        self.ops_since_refresh = 0;
-        if let Some(c) = &self.clock {
-            // Lease renewal: one relaxed store (plus one relaxed probe of
-            // the sticky eviction flag) — the whole hot-path liveness cost.
-            self.store.registry.heartbeat(self.slot_idx, c.now());
-            if self.evicted || self.store.registry.is_evicted(self.slot_idx) {
-                self.evicted = true;
-                self.drop_cancelled_pendings();
-                return;
-            }
+        let slot = self.core.slot();
+        let on_change = protect_on_prepare(&self.store, slot, &mut self.pending);
+        self.core.refresh(&self.store, on_change);
+        if self.core.evicted() {
+            self.drop_cancelled_pendings();
+            return;
         }
-        let (gp, gv) = self.store.state.load();
-        if (gp, gv) != (self.phase, self.version) {
-            // Entering prepare: protect pre-existing pending requests so
-            // post-point writers cannot overtake them (paper Sec. 6.2.1).
-            // A session that slept through the end of the previous commit
-            // arrives from its wait-pending or wait-flush, where requests
-            // already carried version `gv`.
-            if gp == Phase::Prepare {
-                self.protect_pendings(gv);
-            }
-            let crossed = self.phase <= Phase::Prepare
-                && ((gv == self.version && gp >= Phase::InProgress) || gv > self.version);
-            if crossed {
-                let point = self.store.registry.mark_cpr_point(self.slot_idx);
-                self.pending_points.push_back((self.version, point));
-            }
-            self.phase = gp;
-            self.version = gv;
-            self.store.registry.publish(self.slot_idx, gp, gv);
-        }
-        if self.phase != Phase::Rest {
+        if self.core.phase() != Phase::Rest {
             // A commit is in flight: cede the CPU so the checkpoint and
             // device threads make progress even on a single core.
             std::thread::yield_now();
@@ -295,9 +223,8 @@ impl<V: Pod> FasterSession<V> {
         if self.pending.is_empty() {
             return 0;
         }
-        let live = self.clock.is_some();
-        if live && (self.evicted || self.store.registry.is_evicted(self.slot_idx)) {
-            self.evicted = true;
+        if self.core.is_evicted(&self.store) {
+            self.core.mark_evicted();
             self.drop_cancelled_pendings();
             return 0;
         }
@@ -308,12 +235,10 @@ impl<V: Pod> FasterSession<V> {
             // Pending retries apply writes: re-check ownership before each
             // one so an evicted session stops growing the database. A
             // merely-suspended session reactivates itself and proceeds.
-            if live && self.store.registry.status(self.slot_idx) != SessionStatus::Active {
-                if self.store.registry.await_reactivate(self.slot_idx) {
-                    continue;
-                }
-                self.evicted = true;
-                break;
+            match self.core.reclaim(&self.store) {
+                Ownership::Held => {}
+                Ownership::Reactivated => continue,
+                Ownership::Evicted => break,
             }
             if ops[i].queued && ops[..i].iter().any(|p| p.key == ops[i].key) {
                 i += 1;
@@ -362,16 +287,23 @@ impl<V: Pod> FasterSession<V> {
                     }
                     i += 1;
                 }
-                Outcome::Shift | Outcome::Retry => {
-                    // Re-run the same op immediately (CAS race); a Shift
-                    // cannot occur for an already-accepted pending op’s
-                    // tag, but retrying is always safe.
-                }
+                // CAS race: re-run the same op immediately.
+                Outcome::Retry => {}
+                // An accepted op keeps its tag, and nothing here refreshes
+                // the session, so a retry could never make progress.
+                Outcome::Shift => panic!(
+                    "pending op cannot shift: session {} serial {} tag {}, session view {:?}, global {:?}",
+                    self.core.guid(),
+                    op.serial,
+                    op.tag,
+                    (self.core.phase(), self.core.version()),
+                    self.store.state.load(),
+                ),
             }
         }
         debug_assert!(self.pending.is_empty());
         self.pending = ops;
-        if self.evicted {
+        if self.core.evicted() {
             self.drop_cancelled_pendings();
         }
         self.stats.completed_pending += completed as u64;
@@ -379,14 +311,14 @@ impl<V: Pod> FasterSession<V> {
     }
 
     fn finish_pending(&mut self, op: &mut Pending<V>, value: Option<V>) {
-        if self.clock.is_some() {
+        if self.core.is_live() {
             // The offline-pending entry is the ownership token for this
             // op's protections: remove it and release per the *entry* (the
             // watchdog may hold a fresher view of the latches than the
             // local op after an eviction race).
             let owned = {
                 let mut map = self.store.offline_pending.lock();
-                map.get_mut(&self.slot_idx).and_then(|gs| {
+                map.get_mut(&self.core.slot()).and_then(|gs| {
                     gs.iter()
                         .position(|g| g.serial == op.serial)
                         .map(|i| gs.swap_remove(i))
@@ -397,7 +329,7 @@ impl<V: Pod> FasterSession<V> {
             let Some(g) = owned else {
                 // Cancelled by the watchdog: protections already released,
                 // the session is evicted, the result is dropped.
-                self.evicted = true;
+                self.core.mark_evicted();
                 return;
             };
             if let Some(b) = g.latch {
@@ -434,121 +366,94 @@ impl<V: Pod> FasterSession<V> {
         }
         let live: Vec<u64> = {
             let map = self.store.offline_pending.lock();
-            map.get(&self.slot_idx)
+            map.get(&self.core.slot())
                 .map(|gs| gs.iter().map(|g| g.serial).collect())
                 .unwrap_or_default()
         };
         self.pending.retain(|op| live.contains(&op.serial));
     }
 
-    /// Fine grain: take shared latches (coarse: register key guards) for
-    /// pending requests of version `v` or older when entering prepare of
-    /// `v`.
-    fn protect_pendings(&mut self, v: u64) {
-        match self.store.grain {
-            VersionGrain::Fine => {
-                for op in &mut self.pending {
-                    if op.tag <= v && op.latch.is_none() {
-                        let b = self.store.index.bucket_index(key_hash(op.key));
-                        // Cannot fail persistently: exclusive holders only
-                        // exist in in-progress, which starts later.
-                        while !self.store.latches[b].try_shared() {
-                            std::hint::spin_loop();
-                        }
-                        op.latch = Some(b);
-                    }
-                }
-            }
-            VersionGrain::Coarse => {
-                let mut guard = self.store.pending_v_keys.lock();
-                for op in &mut self.pending {
-                    if op.tag <= v && !op.guarded {
-                        guard.insert(op.key);
-                        op.guarded = true;
-                    }
-                }
-            }
-        }
-        if self.clock.is_some() {
-            // Mirror the newly-taken protections so a later watchdog
-            // cancellation releases them. The lease was stamped at the top
-            // of this refresh, so the watchdog cannot act on this session
-            // between the acquisition above and the mirror landing here.
-            let mut map = self.store.offline_pending.lock();
-            if let Some(gs) = map.get_mut(&self.slot_idx) {
-                for op in &self.pending {
-                    if let Some(g) = gs.iter_mut().find(|g| g.serial == op.serial) {
-                        g.latch = op.latch;
-                        g.guarded_key = op.guarded.then_some(op.key);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Publish a busy-state change iff the liveness watchdog is running.
-    /// `Locking` marks the short exclusive-latch windows of the version
-    /// hand-off: the watchdog must never evict a session there (it could
-    /// be mid-append under the latch) — its only remedy is a checkpoint
-    /// abort.
-    #[inline]
-    fn set_busy_live(&self, b: BusyState) {
-        if self.clock.is_some() {
-            self.store.registry.set_busy(self.slot_idx, b);
-        }
-    }
-
-    #[inline]
-    fn txn_version(&self) -> u64 {
-        if self.phase >= Phase::InProgress {
-            self.version + 1
-        } else {
-            self.version
-        }
-    }
-
-    #[inline]
-    fn maybe_refresh(&mut self) {
-        self.ops_since_refresh += 1;
-        if self.ops_since_refresh >= self.store.refresh_every {
-            self.refresh();
-        }
-    }
-
     // ---- public operations ------------------------------------------------
 
-    /// Dekker-style entry protocol against the watchdog: publish
-    /// `busy = InTxn` (SeqCst), then load status (SeqCst). If the status
-    /// read observes `Active`, the watchdog's suspend CAS had not happened
-    /// before that read in the SeqCst total order, so no eviction (which
-    /// requires a *prior* successful suspend plus a later scan) can be in
-    /// flight — accepting the op is safe. Returns `false` once evicted.
-    fn begin_op(&mut self) -> bool {
-        loop {
-            if self.evicted {
-                return false;
-            }
-            self.store.registry.set_busy(self.slot_idx, BusyState::InTxn);
-            match self.store.registry.status(self.slot_idx) {
-                SessionStatus::Active => return true,
-                _ => {
-                    self.store.registry.set_busy(self.slot_idx, BusyState::Idle);
-                    if self.store.registry.await_reactivate(self.slot_idx) {
-                        self.refresh();
-                    } else {
-                        self.evicted = true;
-                    }
-                }
-            }
+    pub fn read(&mut self, key: u64) -> ReadResult<V> {
+        match self.op(OpKind::Read, key, None) {
+            Some(DriveResult::Done(Some(v))) => ReadResult::Found(v),
+            Some(DriveResult::Done(None)) => ReadResult::NotFound,
+            Some(DriveResult::Pending) => ReadResult::Pending,
+            None => ReadResult::Evicted,
         }
     }
 
+    pub fn upsert(&mut self, key: u64, value: V) -> Status {
+        self.update(OpKind::Upsert, key, Some(value))
+    }
+
+    /// Read-modify-write: `new = rmw(old, input)`; a missing key is
+    /// initialized to `input`.
+    pub fn rmw(&mut self, key: u64, input: V) -> Status {
+        self.update(OpKind::Rmw, key, Some(input))
+    }
+
+    pub fn delete(&mut self, key: u64) -> Status {
+        self.update(OpKind::Delete, key, None)
+    }
+
+    #[inline]
+    fn update(&mut self, kind: OpKind, key: u64, input: Option<V>) -> Status {
+        match self.op(kind, key, input) {
+            Some(DriveResult::Done(_)) => Status::Ok,
+            Some(DriveResult::Pending) => Status::Pending,
+            None => Status::Evicted,
+        }
+    }
+
+    /// The one entry of every user operation: periodic refresh, the entry
+    /// protocol against the watchdog, serial and counters, the op itself,
+    /// and metrics. `None` means the session is evicted and the op was not
+    /// accepted. Completed ops contribute a latency sample, evicted ops
+    /// count as aborts, pendings are sampled at completion.
+    #[inline]
+    fn op(&mut self, kind: OpKind, key: u64, input: Option<V>) -> Option<DriveResult<V>> {
+        if self.core.refresh_due() {
+            self.refresh();
+        }
+        let metrics_on = self.store.metrics_on;
+        let t0 = metrics_on.then(Instant::now);
+        if !self.enter_op() {
+            if metrics_on {
+                self.store.metrics.record_abort();
+            }
+            return None;
+        }
+        self.core.bump_serial();
+        let stat = match kind {
+            OpKind::Read => &mut self.stats.reads,
+            OpKind::Upsert => &mut self.stats.upserts,
+            OpKind::Rmw => &mut self.stats.rmws,
+            OpKind::Delete => &mut self.stats.deletes,
+        };
+        *stat += 1;
+        let out = self.drive(kind, key, input);
+        if let (Some(t0), DriveResult::Done(_)) = (t0, &out) {
+            let reads = (kind == OpKind::Read) as u64;
+            self.store
+                .metrics
+                .record_commit(t0.elapsed(), reads, 1 - reads);
+        }
+        self.core.set_busy(&self.store, BusyState::Idle);
+        Some(out)
+    }
+
+    /// Enter an operation (see [`SessionCore::begin_op`]), then run the
+    /// test pause hook. Returns `false` once evicted.
     #[inline]
     fn enter_op(&mut self) -> bool {
-        if self.clock.is_none() {
+        if !self.core.is_live() {
             return true;
         }
-        if !self.begin_op() {
+        let slot = self.core.slot();
+        let on_change = protect_on_prepare(&self.store, slot, &mut self.pending);
+        if !self.core.begin_op(&self.store, on_change) {
             return false;
         }
         if let Some(mut f) = self.pause_in_op.take() {
@@ -556,107 +461,6 @@ impl<V: Pod> FasterSession<V> {
             self.pause_in_op = Some(f);
         }
         true
-    }
-
-    #[inline]
-    fn exit_op(&mut self) {
-        if self.clock.is_some() {
-            self.store.registry.set_busy(self.slot_idx, BusyState::Idle);
-        }
-    }
-
-    /// Record op metrics: completed ops contribute a latency sample,
-    /// evicted ops count as aborts, pendings are sampled at completion.
-    #[inline]
-    fn record_op(&self, t0: Option<Instant>, reads: u64, writes: u64, done: bool) {
-        if let Some(t0) = t0 {
-            if done {
-                self.store.metrics.record_commit(t0.elapsed(), reads, writes);
-            }
-        }
-    }
-
-    pub fn read(&mut self, key: u64) -> ReadResult<V> {
-        self.maybe_refresh();
-        let t0 = self.store.metrics_on.then(Instant::now);
-        if !self.enter_op() {
-            if self.store.metrics_on {
-                self.store.metrics.record_abort();
-            }
-            return ReadResult::Evicted;
-        }
-        self.serial += 1;
-        self.stats.reads += 1;
-        let out = match self.drive(OpKind::Read, key, None) {
-            DriveResult::Done(Some(v)) => ReadResult::Found(v),
-            DriveResult::Done(None) => ReadResult::NotFound,
-            DriveResult::Pending => ReadResult::Pending,
-        };
-        self.record_op(t0, 1, 0, !matches!(out, ReadResult::Pending));
-        self.exit_op();
-        out
-    }
-
-    pub fn upsert(&mut self, key: u64, value: V) -> Status {
-        self.maybe_refresh();
-        let t0 = self.store.metrics_on.then(Instant::now);
-        if !self.enter_op() {
-            if self.store.metrics_on {
-                self.store.metrics.record_abort();
-            }
-            return Status::Evicted;
-        }
-        self.serial += 1;
-        self.stats.upserts += 1;
-        let out = match self.drive(OpKind::Upsert, key, Some(value)) {
-            DriveResult::Done(_) => Status::Ok,
-            DriveResult::Pending => Status::Pending,
-        };
-        self.record_op(t0, 0, 1, out == Status::Ok);
-        self.exit_op();
-        out
-    }
-
-    /// Read-modify-write: `new = rmw(old, input)`; a missing key is
-    /// initialized to `input`.
-    pub fn rmw(&mut self, key: u64, input: V) -> Status {
-        self.maybe_refresh();
-        let t0 = self.store.metrics_on.then(Instant::now);
-        if !self.enter_op() {
-            if self.store.metrics_on {
-                self.store.metrics.record_abort();
-            }
-            return Status::Evicted;
-        }
-        self.serial += 1;
-        self.stats.rmws += 1;
-        let out = match self.drive(OpKind::Rmw, key, Some(input)) {
-            DriveResult::Done(_) => Status::Ok,
-            DriveResult::Pending => Status::Pending,
-        };
-        self.record_op(t0, 0, 1, out == Status::Ok);
-        self.exit_op();
-        out
-    }
-
-    pub fn delete(&mut self, key: u64) -> Status {
-        self.maybe_refresh();
-        let t0 = self.store.metrics_on.then(Instant::now);
-        if !self.enter_op() {
-            if self.store.metrics_on {
-                self.store.metrics.record_abort();
-            }
-            return Status::Evicted;
-        }
-        self.serial += 1;
-        self.stats.deletes += 1;
-        let out = match self.drive(OpKind::Delete, key, None) {
-            DriveResult::Done(_) => Status::Ok,
-            DriveResult::Pending => Status::Pending,
-        };
-        self.record_op(t0, 0, 1, out == Status::Ok);
-        self.exit_op();
-        out
     }
 
     // ---- op driver ----------------------------------------------------------
@@ -667,7 +471,7 @@ impl<V: Pod> FasterSession<V> {
             // shared latch (paper Alg. 4); failure means the CPR shift
             // has begun.
             let mut latch: Option<usize> = None;
-            if self.phase == Phase::Prepare && self.store.grain == VersionGrain::Fine {
+            if self.core.phase() == Phase::Prepare && self.store.grain == VersionGrain::Fine {
                 let b = self.store.index.bucket_index(key_hash(key));
                 if !self.store.latches[b].try_shared() {
                     self.refresh(); // CPR_SHIFT_DETECTED
@@ -675,7 +479,7 @@ impl<V: Pod> FasterSession<V> {
                 }
                 latch = Some(b);
             }
-            let tag = self.txn_version();
+            let tag = self.core.txn_version();
             // Behind a pending op on the same key: wait for it, or this
             // op could take effect first.
             let queued = self.pending.iter().any(|p| p.key == key);
@@ -689,7 +493,7 @@ impl<V: Pod> FasterSession<V> {
                     if let Some(b) = latch {
                         self.store.latches[b].release_shared();
                     }
-                    self.store.registry.set_serial(self.slot_idx, self.serial);
+                    self.core.publish_serial(&self.store);
                     return DriveResult::Done(v);
                 }
                 Outcome::Shift => {
@@ -708,26 +512,26 @@ impl<V: Pod> FasterSession<V> {
                 Outcome::Pend(io) => {
                     // Pre-point pendings keep their protection: the shared
                     // latch (fine) or a key guard (coarse).
-                    let keep_latch = latch.take_if(|_| tag == self.version);
+                    let keep_latch = latch.take_if(|_| tag == self.core.version());
                     if let Some(b) = latch {
                         self.store.latches[b].release_shared();
                     }
                     let guarded = self.store.grain == VersionGrain::Coarse
-                        && tag == self.version
-                        && self.phase != Phase::Rest;
+                        && tag == self.core.version()
+                        && self.core.phase() != Phase::Rest;
                     if guarded {
                         self.store.pending_v_keys.lock().insert(key);
                     }
                     self.store.pending_count[(tag & 1) as usize].fetch_add(1, Ordering::AcqRel);
-                    if self.clock.is_some() {
+                    if self.core.is_live() {
                         // Mirror the op's protections for the watchdog.
                         self.store
                             .offline_pending
                             .lock()
-                            .entry(self.slot_idx)
+                            .entry(self.core.slot())
                             .or_default()
                             .push(OfflineGuard {
-                                serial: self.serial,
+                                serial: self.core.serial(),
                                 tag,
                                 latch: keep_latch,
                                 guarded_key: guarded.then_some(key),
@@ -738,7 +542,7 @@ impl<V: Pod> FasterSession<V> {
                         None => (INVALID_ADDRESS, None),
                     };
                     self.pending.push(Pending {
-                        serial: self.serial,
+                        serial: self.core.serial(),
                         kind,
                         key,
                         input,
@@ -750,7 +554,7 @@ impl<V: Pod> FasterSession<V> {
                         queued,
                     });
                     self.stats.went_pending += 1;
-                    self.store.registry.set_serial(self.slot_idx, self.serial);
+                    self.core.publish_serial(&self.store);
                     return DriveResult::Pending;
                 }
             }
@@ -798,8 +602,8 @@ impl<V: Pod> FasterSession<V> {
             addr = h.prev;
         }
 
-        let vnext13 = version13(self.version + 1);
-        let is_next = tag > self.version;
+        let vnext13 = version13(self.core.version() + 1);
+        let is_next = tag > self.core.version();
 
         match found {
             Some((_raddr, h)) if h.tombstone => match kind {
@@ -811,7 +615,10 @@ impl<V: Pod> FasterSession<V> {
             Some((raddr, h)) => {
                 // Prepare-phase shift detection: a record already at
                 // version v+1 means the commit has begun (Alg. 4).
-                if self.phase == Phase::Prepare && tag == self.version && h.version == vnext13 {
+                if self.core.phase() == Phase::Prepare
+                    && tag == self.core.version()
+                    && h.version == vnext13
+                {
                     return Outcome::Shift;
                 }
                 if kind == OpKind::Read {
@@ -910,9 +717,9 @@ impl<V: Pod> FasterSession<V> {
         match store.grain {
             VersionGrain::Fine => {
                 let b = store.index.bucket_index(key_hash(key));
-                match self.phase {
+                match self.core.phase() {
                     Phase::InProgress => {
-                        self.set_busy_live(BusyState::Locking);
+                        self.core.set_busy(&self.store, BusyState::Locking);
                         let out = if store.latches[b].try_exclusive() {
                             let out =
                                 self.append_record(slot, entry, key, kind, input, Some(raddr), tag);
@@ -921,7 +728,7 @@ impl<V: Pod> FasterSession<V> {
                         } else {
                             Outcome::Pend(None)
                         };
-                        self.set_busy_live(BusyState::InTxn);
+                        self.core.set_busy(&self.store, BusyState::InTxn);
                         out
                     }
                     Phase::WaitPending => {
@@ -940,7 +747,7 @@ impl<V: Pod> FasterSession<V> {
                 if store.pending_v_keys.lock().contains(&key) {
                     return Outcome::Pend(None);
                 }
-                if raddr < safe_ro || self.phase >= Phase::WaitPending {
+                if raddr < safe_ro || self.core.phase() >= Phase::WaitPending {
                     self.append_record(slot, entry, key, kind, input, Some(raddr), tag)
                 } else {
                     // The pre-point record is still mutable: wait until it
@@ -1058,14 +865,14 @@ impl<V: Pod> FasterSession<V> {
         safe_ro: Address,
     ) -> Outcome<V> {
         let store = Arc::clone(&self.store);
-        if tag > self.version {
+        if tag > self.core.version() {
             // Post-point op resolving a disk record: respect the same
             // protections as an in-memory hand-off.
             match store.grain {
                 VersionGrain::Fine => {
                     let b = store.index.bucket_index(key_hash(key));
-                    if self.phase == Phase::InProgress {
-                        self.set_busy_live(BusyState::Locking);
+                    if self.core.phase() == Phase::InProgress {
+                        self.core.set_busy(&self.store, BusyState::Locking);
                         let out = if store.latches[b].try_exclusive() {
                             let out =
                                 self.append_base_inner(slot, entry, key, kind, input, base, tag);
@@ -1074,10 +881,12 @@ impl<V: Pod> FasterSession<V> {
                         } else {
                             Outcome::Pend(None)
                         };
-                        self.set_busy_live(BusyState::InTxn);
+                        self.core.set_busy(&self.store, BusyState::InTxn);
                         return out;
                     }
-                    if self.phase == Phase::WaitPending && store.latches[b].shared_count() != 0 {
+                    if self.core.phase() == Phase::WaitPending
+                        && store.latches[b].shared_count() != 0
+                    {
                         return Outcome::Pend(None);
                     }
                 }
@@ -1114,7 +923,7 @@ impl<V: Pod> FasterSession<V> {
             (OpKind::Read, _) => unreachable!(),
         };
         value_to_words(&value, &mut self.scratch, store.value_words);
-        let addr = store.hlog.allocate(&self.guard);
+        let addr = store.hlog.allocate(self.core.guard());
         let mut header = Header::new(entry, tag);
         if kind == OpKind::Delete {
             header = header.with_tombstone();
@@ -1156,13 +965,80 @@ enum DriveResult<V> {
     Pending,
 }
 
+/// The hook [`SessionCore`] runs on every state change before publishing
+/// it: entering prepare protects pre-existing pending requests so
+/// post-point writers cannot overtake them (paper Sec. 6.2.1). A session
+/// that slept through the end of the previous commit arrives from its
+/// wait-pending or wait-flush, where requests already carried version
+/// `v`.
+fn protect_on_prepare<'a, V: Pod>(
+    store: &'a StoreInner<V>,
+    slot: usize,
+    pending: &'a mut [Pending<V>],
+) -> impl FnMut(Phase, u64) + 'a {
+    move |phase, v| {
+        if phase == Phase::Prepare {
+            protect_pendings(store, slot, pending, v);
+        }
+    }
+}
+
+/// Fine grain: take shared latches (coarse: register key guards) for
+/// pending requests of version `v` or older when entering prepare of `v`.
+fn protect_pendings<V: Pod>(
+    store: &StoreInner<V>,
+    slot: usize,
+    pending: &mut [Pending<V>],
+    v: u64,
+) {
+    match store.grain {
+        VersionGrain::Fine => {
+            for op in pending.iter_mut() {
+                if op.tag <= v && op.latch.is_none() {
+                    let b = store.index.bucket_index(key_hash(op.key));
+                    // Cannot fail persistently: exclusive holders only
+                    // exist in in-progress, which starts later.
+                    while !store.latches[b].try_shared() {
+                        std::hint::spin_loop();
+                    }
+                    op.latch = Some(b);
+                }
+            }
+        }
+        VersionGrain::Coarse => {
+            let mut guard = store.pending_v_keys.lock();
+            for op in pending.iter_mut() {
+                if op.tag <= v && !op.guarded {
+                    guard.insert(op.key);
+                    op.guarded = true;
+                }
+            }
+        }
+    }
+    if store.liveness.is_some() {
+        // Mirror the newly-taken protections so a later watchdog
+        // cancellation releases them. The lease was stamped at the top of
+        // this refresh, so the watchdog cannot act on this session between
+        // the acquisition above and the mirror landing here.
+        let mut map = store.offline_pending.lock();
+        if let Some(gs) = map.get_mut(&slot) {
+            for op in pending.iter() {
+                if let Some(g) = gs.iter_mut().find(|g| g.serial == op.serial) {
+                    g.latch = op.latch;
+                    g.guarded_key = op.guarded.then_some(op.key);
+                }
+            }
+        }
+    }
+}
+
 impl<V: Pod> Drop for FasterSession<V> {
     fn drop(&mut self) {
         // Drain pendings so an in-flight commit is not stranded. An
         // evicted session skips the drain: its pendings were cancelled by
         // the watchdog and `refresh` clears them on the first pass.
         for _ in 0..10_000 {
-            if self.pending.is_empty() || self.evicted {
+            if self.pending.is_empty() || self.core.evicted() {
                 break;
             }
             self.refresh();
@@ -1174,8 +1050,8 @@ impl<V: Pod> Drop for FasterSession<V> {
         // watchdog on, the offline map arbitrates: only protections whose
         // entry is still present are ours to release.
         let ops = std::mem::take(&mut self.pending);
-        if self.clock.is_some() {
-            let entries = self.store.offline_pending.lock().remove(&self.slot_idx);
+        if self.core.is_live() {
+            let entries = self.store.offline_pending.lock().remove(&self.core.slot());
             for g in entries.unwrap_or_default() {
                 if let Some(b) = g.latch {
                     self.store.latches[b].release_shared();
@@ -1196,22 +1072,6 @@ impl<V: Pod> Drop for FasterSession<V> {
                 self.store.pending_count[(op.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
             }
         }
-        // Deposit this session's commit points before freeing the slot:
-        // once the slot is released the registry forgets the guid, but a
-        // later checkpoint (or a reconnecting client) still needs them.
-        if self.evicted || self.store.registry.is_evicted(self.slot_idx) {
-            // Eviction cancelled every op after the rolled-back point; the
-            // pre-eviction serial must never be reported.
-            let point = self.store.registry.cpr_point(self.slot_idx);
-            self.store
-                .detached
-                .record_evicted(self.guid, self.version, point);
-        } else {
-            let points: Vec<(u64, u64)> = self.pending_points.iter().copied().collect();
-            self.store
-                .detached
-                .record(self.guid, points, (self.txn_version(), self.serial));
-        }
-        self.store.registry.release(self.slot_idx);
+        self.core.detach(&self.store);
     }
 }

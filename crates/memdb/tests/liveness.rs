@@ -8,6 +8,7 @@
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use cpr_core::Phase;
 use cpr_memdb::{MemDbBuilder, 
     Abort, Access, CommitError, Durability, LivenessConfig, MemDb, TxnRequest,
     VirtualClock,
@@ -107,6 +108,67 @@ fn idle_straggler_is_proxy_advanced() {
     for k in 10..15u64 {
         assert_eq!(db2.read(k), Some(1000 + k), "straggler prefix lost");
     }
+}
+
+/// A session whose local view is a version behind still learns the CPR
+/// point the watchdog marked for it. Session 7 last refreshes inside
+/// commit 1 (so its view stays past that commit's point), runs three more
+/// transactions, and sleeps through commit 2, which the watchdog
+/// proxy-advances it through, marking its point at serial 8. When it
+/// wakes, its view moves from (in-progress, 1) to (rest, 3): that move
+/// crosses the point of version 2, and `durable_serial()` reports it.
+#[test]
+fn proxy_advanced_session_a_version_behind_reports_the_marked_point() {
+    let dir = tempfile::tempdir().unwrap();
+    let clock = Arc::new(VirtualClock::new());
+    let db: MemDb<u64> = liveness_opts(dir.path(), &clock).open().unwrap();
+    let mut a = db.session(1);
+    let mut b = db.session(7);
+    for k in 10..15u64 {
+        write(&mut b, k, 1000 + k).unwrap();
+    }
+
+    // Commit 1, with the clock standing still: both sessions refresh
+    // until b's view has crossed the point of version 1.
+    assert!(db.request_commit());
+    let mut iters = 0;
+    while b.info().phase < Phase::InProgress {
+        a.refresh();
+        b.refresh();
+        std::thread::sleep(Duration::from_millis(1));
+        iters += 1;
+        assert!(iters < 10_000, "b never reached in-progress of version 1");
+    }
+    assert_eq!(b.info().version, 1);
+    // Fewer than `refresh_every` transactions: b does not refresh again.
+    for k in 20..23u64 {
+        write(&mut b, k, 2000 + k).unwrap();
+    }
+    assert_eq!(b.serial(), 8);
+    while db.committed_version() < 1 {
+        a.refresh();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(b.durable_serial(), 5, "commit 1 holds b's first five");
+
+    // Commit 2: b sleeps; the watchdog proxy-advances it.
+    assert!(db.request_commit());
+    let mut iters = 0;
+    while db.committed_version() < 2 {
+        let _ = write(&mut a, iters % 10, iters);
+        a.refresh();
+        clock.advance(GRACE / 2);
+        std::thread::sleep(Duration::from_millis(1));
+        iters += 1;
+        assert!(iters < 10_000, "commit 2 never completed despite watchdog");
+    }
+    let out = db.last_commit_outcome();
+    assert!(out.proxy_advanced.contains(&7), "got {out:?}");
+    assert_eq!(db.durable_point(7), 8, "the watchdog marked serial 8");
+    assert_eq!(b.info().version, 1, "b's local view is a version behind");
+
+    b.refresh();
+    assert_eq!(b.durable_serial(), db.durable_point(7));
 }
 
 /// A straggler parked *inside* a transaction is evicted: the commit

@@ -150,6 +150,7 @@ impl LatencyHistogram {
             mean_ns: mean,
             p50_ns: quantile(0.50),
             p90_ns: quantile(0.90),
+            p95_ns: quantile(0.95),
             p99_ns: quantile(0.99),
             p999_ns: quantile(0.999),
             max_ns: max,
@@ -172,6 +173,7 @@ pub struct HistogramSnapshot {
     pub mean_ns: f64,
     pub p50_ns: u64,
     pub p90_ns: u64,
+    pub p95_ns: u64,
     pub p99_ns: u64,
     pub p999_ns: u64,
     pub max_ns: u64,
@@ -204,6 +206,42 @@ mod tests {
         assert!(s.p99_ns >= 990_000, "{}", s.p99_ns);
         assert_eq!(s.max_ns, 1_000_000);
         assert!(s.p999_ns <= s.max_ns);
+    }
+
+    #[test]
+    fn monotone_quantiles() {
+        let h = LatencyHistogram::new();
+        let mut x = 1u64;
+        for _ in 0..1000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            h.record_ns(x % 10_000_000);
+        }
+        let s = h.snapshot();
+        let qs = [s.p50_ns, s.p90_ns, s.p95_ns, s.p99_ns, s.p999_ns, s.max_ns];
+        assert!(
+            qs.windows(2).all(|w| w[0] <= w[1]),
+            "quantiles regress: {qs:?}"
+        );
+    }
+
+    #[test]
+    fn concurrent_recording_counts_everything() {
+        let h = std::sync::Arc::new(LatencyHistogram::new());
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let h = h.clone();
+                std::thread::spawn(move || {
+                    for i in 0..10_000u64 {
+                        h.record_ns(i);
+                    }
+                })
+            })
+            .collect();
+        for t in handles {
+            t.join().unwrap();
+        }
+        assert_eq!(h.count(), 40_000);
+        assert_eq!(h.snapshot().count, 40_000);
     }
 
     #[test]

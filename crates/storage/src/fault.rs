@@ -141,23 +141,78 @@ pub enum IoVerdict {
     Crashed,
 }
 
+/// One operation sequence with its own schedule: the writes, or the
+/// reads.
+struct Lane {
+    ops: AtomicU64,
+    /// Operation number at which the crash fires (`u64::MAX` = disarmed).
+    crash_at: AtomicU64,
+    /// Scheduled non-crash faults.
+    faults: Mutex<Vec<Fault>>,
+}
+
+impl Lane {
+    fn new(faults: Vec<Fault>) -> Self {
+        let lane = Lane {
+            ops: AtomicU64::new(0),
+            crash_at: AtomicU64::new(u64::MAX),
+            faults: Mutex::new(Vec::new()),
+        };
+        for f in faults {
+            lane.arm(f);
+        }
+        lane
+    }
+
+    fn count(&self) -> u64 {
+        self.ops.load(Ordering::Acquire)
+    }
+
+    /// Arm an absolute-indexed fault; the earliest armed crash wins.
+    fn arm(&self, fault: Fault) {
+        match fault {
+            Fault::Crash { op } => {
+                self.crash_at.fetch_min(op, Ordering::AcqRel);
+            }
+            _ => self.faults.lock().push(fault),
+        }
+    }
+
+    /// Consume one operation number and return its verdict. A crash on
+    /// either lane sets the shared `crashed` flag; every verdict other
+    /// than [`IoVerdict::Ok`] counts in `hits`.
+    fn next(&self, crashed: &AtomicBool, hits: &AtomicU64) -> IoVerdict {
+        let op = self.ops.fetch_add(1, Ordering::AcqRel);
+        if crashed.load(Ordering::Acquire) || op >= self.crash_at.load(Ordering::Acquire) {
+            crashed.store(true, Ordering::Release);
+            hits.fetch_add(1, Ordering::Relaxed);
+            return IoVerdict::Crashed;
+        }
+        let mut faults = self.faults.lock();
+        let Some(i) = faults.iter().position(|f| f.op() == op) else {
+            return IoVerdict::Ok;
+        };
+        hits.fetch_add(1, Ordering::Relaxed);
+        match faults.remove(i) {
+            Fault::Fail { .. } => IoVerdict::Fail,
+            Fault::Torn { keep, .. } => IoVerdict::Torn { keep },
+            Fault::Delay { millis, .. } => IoVerdict::Delay { millis },
+            Fault::Crash { .. } => unreachable!("crashes live in crash_at"),
+        }
+    }
+}
+
 /// Shared fault state consulted by every decorated I/O path. Cheap to
 /// clone via `Arc`; one injector is typically shared between a
 /// [`FaultDevice`] and a [`CheckpointStore`](crate::CheckpointStore) so
 /// their writes draw from a single operation sequence.
 pub struct FaultInjector {
-    ops: AtomicU64,
-    crashed: AtomicBool,
-    /// Operation number at which the crash fires (`u64::MAX` = disarmed).
-    crash_at: AtomicU64,
-    faults: Mutex<Vec<Fault>>,
+    writes: Lane,
     /// Read operations draw from their own counter and schedule so that
     /// arming a read fault never perturbs the write-op numbering that
     /// every crash-schedule test is written against.
-    read_ops: AtomicU64,
-    read_faults: Mutex<Vec<Fault>>,
-    /// Read-op number at which a crash fires (`u64::MAX` = disarmed).
-    read_crash_at: AtomicU64,
+    reads: Lane,
+    crashed: AtomicBool,
     seed: u64,
     /// Operations that drew a non-[`IoVerdict::Ok`] verdict — surfaced
     /// as `faults_injected` in metrics reports.
@@ -176,28 +231,10 @@ impl std::fmt::Debug for FaultInjector {
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
-        let crash_at = plan
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::Crash { op } => Some(*op),
-                _ => None,
-            })
-            .min()
-            .unwrap_or(u64::MAX);
-        let faults = plan
-            .faults
-            .into_iter()
-            .filter(|f| !matches!(f, Fault::Crash { .. }))
-            .collect();
         FaultInjector {
-            ops: AtomicU64::new(0),
+            writes: Lane::new(plan.faults),
+            reads: Lane::new(Vec::new()),
             crashed: AtomicBool::new(false),
-            crash_at: AtomicU64::new(crash_at),
-            faults: Mutex::new(faults),
-            read_ops: AtomicU64::new(0),
-            read_faults: Mutex::new(Vec::new()),
-            read_crash_at: AtomicU64::new(u64::MAX),
             seed: plan.seed,
             hits: AtomicU64::new(0),
         }
@@ -211,7 +248,7 @@ impl FaultInjector {
 
     /// Operations consumed so far.
     pub fn op_count(&self) -> u64 {
-        self.ops.load(Ordering::Acquire)
+        self.writes.count()
     }
 
     /// True once the simulated crash has fired (or was forced).
@@ -226,9 +263,9 @@ impl FaultInjector {
 
     /// Crash at the `n`-th operation from now (0 = the very next one).
     pub fn crash_after(&self, n: u64) {
-        let at = self.op_count() + n;
-        // Keep the earliest armed crash.
-        self.crash_at.fetch_min(at, Ordering::AcqRel);
+        self.arm(Fault::Crash {
+            op: self.op_count() + n,
+        });
     }
 
     /// Fail (transiently) the `n`-th operation from now.
@@ -256,35 +293,14 @@ impl FaultInjector {
 
     /// Arm an absolute-indexed fault.
     pub fn arm(&self, fault: Fault) {
-        if let Fault::Crash { op } = fault {
-            self.crash_at.fetch_min(op, Ordering::AcqRel);
-            return;
-        }
-        self.faults.lock().push(fault);
+        self.writes.arm(fault);
     }
 
     /// Consume one operation number and return its verdict. Public so
     /// out-of-crate write paths (e.g. the memdb WAL flusher) can draw
     /// from the same fault sequence as the storage layer.
     pub fn next_io(&self) -> IoVerdict {
-        let op = self.ops.fetch_add(1, Ordering::AcqRel);
-        if self.crashed() || op >= self.crash_at.load(Ordering::Acquire) {
-            self.crashed.store(true, Ordering::Release);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return IoVerdict::Crashed;
-        }
-        let mut faults = self.faults.lock();
-        if let Some(i) = faults.iter().position(|f| f.op() == op) {
-            let f = faults.remove(i);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return match f {
-                Fault::Fail { .. } => IoVerdict::Fail,
-                Fault::Torn { keep, .. } => IoVerdict::Torn { keep },
-                Fault::Delay { millis, .. } => IoVerdict::Delay { millis },
-                Fault::Crash { .. } => unreachable!("crashes live in crash_at"),
-            };
-        }
-        IoVerdict::Ok
+        self.writes.next(&self.crashed, &self.hits)
     }
 
     /// Fail (transiently) the `n`-th *read* operation from now. Reads
@@ -292,16 +308,17 @@ impl FaultInjector {
     /// read faults never shifts write-op numbering. Used to kill the
     /// recovery scan mid-flight.
     pub fn fail_read_after(&self, n: u64) {
-        self.read_faults.lock().push(Fault::Fail {
-            op: self.read_ops.load(Ordering::Acquire) + n,
+        self.reads.arm(Fault::Fail {
+            op: self.reads.count() + n,
         });
     }
 
     /// Crash at the `n`-th *read* operation from now: every subsequent
     /// I/O (reads and writes) fails and the on-disk state freezes.
     pub fn crash_read_after(&self, n: u64) {
-        let at = self.read_ops.load(Ordering::Acquire) + n;
-        self.read_crash_at.fetch_min(at, Ordering::AcqRel);
+        self.reads.arm(Fault::Crash {
+            op: self.reads.count() + n,
+        });
     }
 
     /// Consume one *read* operation number and return its verdict.
@@ -309,24 +326,7 @@ impl FaultInjector {
     /// the default behaviour ("reads fail only after a crash") is
     /// unchanged.
     pub fn next_read_io(&self) -> IoVerdict {
-        let op = self.read_ops.fetch_add(1, Ordering::AcqRel);
-        if self.crashed() || op >= self.read_crash_at.load(Ordering::Acquire) {
-            self.crashed.store(true, Ordering::Release);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return IoVerdict::Crashed;
-        }
-        let mut faults = self.read_faults.lock();
-        if let Some(i) = faults.iter().position(|f| f.op() == op) {
-            let f = faults.remove(i);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return match f {
-                Fault::Fail { .. } => IoVerdict::Fail,
-                Fault::Torn { keep, .. } => IoVerdict::Torn { keep },
-                Fault::Delay { millis, .. } => IoVerdict::Delay { millis },
-                Fault::Crash { .. } => IoVerdict::Crashed,
-            };
-        }
-        IoVerdict::Ok
+        self.reads.next(&self.crashed, &self.hits)
     }
 
     /// Operations that drew a fault verdict so far (fail, torn, delay,
